@@ -18,7 +18,9 @@ bug report, not a user error).
 The --oracle flag cross-checks check/witness answers by brute-force lattice
 search.  Bounds default to values that provably contain a witness whenever
 one exists; HK_ORACLE_BOUNDS="MAX_A,MAX_B,MAX_E" widens them (values below
-the defaults are ignored, the search never shrinks below completeness).
+the defaults are ignored, the search never shrinks below completeness).  A
+search over more than ORACLE_MAX_CANDIDATES candidate (a, b) pairs, about
+max_a * (2*max_b + 1), is refused with exit 1 instead of being run.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, report
 from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_witness
 
 __all__ = ["main"]
+
+# At 0.2-0.35 us per candidate (Python 3.11) a refused search would have
+# run for at least 4-7 s; the default bounds reach the cap near t = 215.
+ORACLE_MAX_CANDIDATES = 20_000_000
 
 _CSV_HEADER = [
     "family", "n", "d", "t", "non_empty", "components",
@@ -97,6 +103,12 @@ def _oracle_bounds(q: ModuliQuery) -> SearchBounds:
 
 def _run_oracle(q: ModuliQuery, rep: ModuliReport) -> dict:
     bounds = _oracle_bounds(q)
+    candidates = bounds.max_a * (2 * bounds.max_b + 1)
+    if candidates > ORACLE_MAX_CANDIDATES:
+        raise ValueError(
+            "oracle search with a <= %d, |b| <= %d would scan about %d "
+            "candidates (max_a * (2*max_b + 1)), above the cap of %d"
+            % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
     hits = enumerate_witnesses(q, bounds, stop_after=1)
     agrees = bool(hits) == rep.non_empty
     if rep.witness is not None and not verify_witness(rep.witness, q):

@@ -10,7 +10,15 @@ Non-emptiness.  The space is non-empty iff t divides 2m and there is an
 integer b, coprime to t, with d = -b^2*m (mod t^2).  When such b exists the
 class a*(f + e*g) + b*delta with a = t and e = (d + b^2*m) / t^2 has square
 2d and divisibility t, giving an explicit witness; `witness` returns it with
-the smallest valid b in [1, t^2].
+the smallest valid b.
+
+Both conditions on b depend only on b mod t.  Since t | 2m,
+
+    (b + t)^2 * m = b^2*m + t*(2*b*m) + t^2*m = b^2*m  (mod t^2),
+
+and gcd(b + t, t) = gcd(b, t).  Every valid b therefore has a valid
+representative in [1, t], so the smallest valid b in [1, t^2] already lies
+in [1, t] and a scan of [1, t] decides non-emptiness in O(t) steps.
 
 Component count.  With G = gcd(2d, 2m), t | G, set
 
@@ -302,15 +310,20 @@ def component_count(q: ModuliQuery) -> int:
 
 
 def nonempty_residue(q: ModuliQuery) -> Optional[int]:
-    """Smallest b in [1, t^2] with gcd(b, t) = 1 and d = -b^2*m (mod t^2),
-    or None when the space is empty (including when t does not divide 2m)."""
+    """Smallest b >= 1 with gcd(b, t) = 1 and d = -b^2*m (mod t^2), or None
+    when the space is empty (including when t does not divide 2m).
+
+    Once t | 2m both conditions depend only on b mod t (see the module
+    docstring), so the smallest valid b lies in [1, t] and only that range
+    is scanned.
+    """
     _validate(q)
     m = q.family.m(q.n)
     if (2 * m) % q.t:
         return None
     tsq = q.t * q.t
     target = (-q.d) % tsq
-    for b in range(1, tsq + 1):
+    for b in range(1, q.t + 1):
         if gcd(b, q.t) == 1 and (b * b * m) % tsq == target:
             return b
     return None
@@ -425,19 +438,21 @@ def report(q: ModuliQuery) -> ModuliReport:
     """Full answer for one query.
 
     Cross-checks the counting formula against the non-emptiness criterion
-    and raises InternalInconsistency when they disagree.  The per-component
-    guarantees are masked with non-emptiness (no component, no claim) and
-    apply to every component exactly when the count is 1.
+    and raises InternalInconsistency when they disagree.  The residue b is
+    found once: the space is non-empty exactly when `witness` returns a
+    class.  The per-component guarantees are masked with non-emptiness (no
+    component, no claim) and apply to every component exactly when the
+    count is 1.
     """
     _validate(q)
-    ne = is_nonempty(q)
+    w = witness(q)
+    ne = w is not None
     detail = component_count_detail(q)
     if (detail.count >= 1) != ne:
         raise InternalInconsistency(
             "non_empty = %r but component count = %d at %r"
             % (ne, detail.count, q))
     th = thresholds(q)
-    w = witness(q) if ne else None
     notes = list(th.notes)
     if detail.halved:
         notes.append("component count used exact halving (rho = 0 case)")

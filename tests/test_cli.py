@@ -216,6 +216,46 @@ def test_oracle_bounds_env(capsys, monkeypatch):
         "max_a": 2, "max_b": 4, "max_e": 51}
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("a refused oracle search must not start")
+
+
+def test_oracle_refuses_large_t(capsys, monkeypatch):
+    # default bounds at t = 300: 300 * (2 * 90000 + 1) candidates
+    monkeypatch.setattr(cli, "enumerate_witnesses", _no_search)
+    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "301",
+                         "--d", "1", "--t", "300", "--oracle")
+    assert code == 1
+    assert out == ""
+    assert "54000300" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
+    code, _, err = run(capsys, "witness", "--family", "k3n", "--n", "301",
+                       "--d", "1", "--t", "300", "--oracle")
+    assert code == 1 and "54000300" in err
+
+
+def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_witnesses", _no_search)
+    monkeypatch.setenv("HK_ORACLE_BOUNDS", "1000,100000,1")
+    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "2",
+                         "--d", "3", "--t", "2", "--oracle")
+    assert code == 1
+    assert out == ""
+    assert "200001000" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
+    # at or just under the cap the search runs
+    searched = []
+
+    def search(q, bounds, stop_after):
+        searched.append(bounds)
+        return ["hit"]
+
+    monkeypatch.setattr(cli, "enumerate_witnesses", search)
+    max_b = (cli.ORACLE_MAX_CANDIDATES // 10 - 1) // 2
+    monkeypatch.setenv("HK_ORACLE_BOUNDS", "10,%d,1" % max_b)
+    code, _, _ = run(capsys, "check", "--family", "k3n", "--n", "2",
+                     "--d", "3", "--t", "2", "--oracle")
+    assert code == 0 and searched[0].max_b == max_b
+
+
 def test_oracle_bounds_env_malformed(capsys, monkeypatch):
     monkeypatch.setenv("HK_ORACLE_BOUNDS", "not,numbers")
     code, _, err = run(capsys, "check", "--family", "k3n", "--n", "2",

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,7 @@ from hkmoduli.moduli import (
     thresholds,
     witness,
 )
+from hkmoduli.oracle import verify_witness
 
 K3 = Family.K3HILB
 KUM = Family.KUMMER
@@ -126,17 +128,80 @@ def test_nonempty_residue_pins():
     assert nonempty_residue(ModuliQuery(K3, 4, 7, 1)) == 1
 
 
+def _smallest_residue_up_to_t_squared(family, n, d, t):
+    # Reference for nonempty_residue: the plain scan of [1, t^2], which does
+    # not rely on the reduction of b mod t.
+    m = family.m(n)
+    return next((b for b in range(1, t * t + 1)
+                 if gcd(b, t) == 1 and (d + b * b * m) % (t * t) == 0), None)
+
+
 def test_nonempty_matches_direct_congruence_scan():
     for family in (K3, KUM):
         for n in (2, 3, 5):
             m = family.m(n)
             for t in divisors(2 * m):
                 for d in range(1, 80):
-                    expected = any(
-                        gcd(b, t) == 1 and (d + b * b * m) % (t * t) == 0
-                        for b in range(1, t * t + 1))
+                    expected = _smallest_residue_up_to_t_squared(
+                        family, n, d, t)
                     q = ModuliQuery(family, n, d, t)
-                    assert is_nonempty(q) == expected, q
+                    assert nonempty_residue(q) == expected, q
+                    assert is_nonempty(q) == (expected is not None), q
+
+
+@st.composite
+def residue_queries(draw):
+    family = draw(st.sampled_from([K3, KUM]))
+    n = draw(st.integers(min_value=2, max_value=60))
+    t = draw(st.sampled_from(divisors(2 * family.m(n))))
+    d = draw(st.integers(min_value=1, max_value=4 * t * t))
+    return ModuliQuery(family, n, d, t)
+
+
+@settings(max_examples=300)
+@given(residue_queries())
+def test_nonempty_residue_is_smallest_in_t_squared(q):
+    assert nonempty_residue(q) == _smallest_residue_up_to_t_squared(*q)
+
+
+def test_large_t_empty_report_is_fast():
+    # a scan of [1, t^2] takes about 100 s on this query (Python 3.11,
+    # 2 CPUs); the scan of [1, t] takes milliseconds
+    q = ModuliQuery(K3, 10001, 10000, 20000)
+    start = time.perf_counter()
+    rep = report(q)
+    elapsed = time.perf_counter() - start
+    assert not rep.non_empty and rep.witness is None
+    assert rep.components == 0
+    assert elapsed < 1.0, elapsed
+
+
+def test_large_t_nonempty_report_witness_verifies():
+    # built as the benchmark builds a non-empty query: d = -b^2*m (mod t^2)
+    family, n, t, b = K3, 1001, 2000, 1999
+    m = family.m(n)
+    d = (-b * b * m) % (t * t) + t * t
+    q = ModuliQuery(family, n, d, t)
+    rep = report(q)
+    assert rep.non_empty and rep.components >= 1
+    assert rep.witness.a == t and 1 <= rep.witness.b <= t
+    assert verify_witness(rep.witness, q)
+
+
+def test_report_finds_the_residue_once(monkeypatch):
+    calls = []
+    original = moduli.nonempty_residue
+
+    def counted(q):
+        calls.append(q)
+        return original(q)
+
+    monkeypatch.setattr(moduli, "nonempty_residue", counted)
+    for q, ne in ((ModuliQuery(K3, 2, 5, 2), False),
+                  (ModuliQuery(K3, 2, 3, 2), True)):
+        calls.clear()
+        assert report(q).non_empty is ne
+        assert calls == [q]
 
 
 # ----------------------------------------------------------------- witness
@@ -173,7 +238,7 @@ def test_witness_invariants(family, n, d, t):
     if w is None:
         assert not is_nonempty(q)
         return
-    assert w.a == t and 1 <= w.b <= t * t and w.e >= 1
+    assert w.a == t and 1 <= w.b <= t and w.e >= 1
     assert gcd(w.b, t) == 1
     c = LatticeClass(family, n, w.a, w.b, w.e)
     assert bbf_square(c) == 2 * d
