@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -280,6 +281,8 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
                    help="half the complex dimension, n >= 2")
 
 
+# built on first use, not at import; costs several times a `check` query
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hkmoduli",
                      description="Moduli of polarized hyperkaehler "

@@ -86,7 +86,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
@@ -191,7 +191,6 @@ class ThresholdDecision:
     tau: Optional[Fraction]
     d_min_bpf: int
     d_min_va: int
-    t_equals_one: bool
     notes: tuple[str, ...]
 
 
@@ -284,6 +283,8 @@ def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
     matched = _matched_cases(dec)
     if not matched:
         return ComponentCountDetail(0, None, False, dec, ())
+    # At most one case matches: (i) needs g1 even, the others g1 odd; (ii)
+    # and (iii) need t1 odd, (iv) t1 even; (ii) needs d1 odd, (iii) d1 even.
     branch = matched[0]
     if q.t <= 2:
         count, halved = 1, False
@@ -291,16 +292,6 @@ def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
         base = dec.w_plus * euler_phi(dec.w_minus)
         r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
         count, halved = _two_power_value(base, r - 1, q)
-    if len(matched) > 1:
-        # The cases are mutually exclusive by parity; if that ever failed
-        # they would still have to agree on the value.
-        for other in matched[1:]:
-            if q.t <= 2:
-                continue
-            base = dec.w_plus * euler_phi(dec.w_minus)
-            r = rho(dec.t1 // 2) if other == "iv" else rho(dec.t1)
-            assert _two_power_value(base, r - 1, q)[0] == count, \
-                "overlapping cases %r disagree at %r" % (matched, q)
     return ComponentCountDetail(count, branch, halved, dec, tuple(matched))
 
 
@@ -358,8 +349,10 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 def thresholds(q: ModuliQuery) -> ThresholdDecision:
     """Per-component base point freeness / very ampleness guarantees.
 
-    Pure threshold arithmetic: exact rational comparisons, no emptiness
-    check.  Combine with non-emptiness via `report`.
+    Pure threshold arithmetic, no emptiness check; combine with
+    non-emptiness via `report`.  For t >= 2 every bound is num / (2(t-1))
+    with an integer num, so d is compared and the bounds are rounded by
+    exact integer cross-multiplication; `Fraction` is kept only for tau.
     """
     _validate(q)
     n, d, t = q.n, q.d, q.t
@@ -380,24 +373,27 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
         tau = None
     else:
         tau = Fraction(t * t, 2 * (t - 1))
+        # den * bound, with den * tau = t^2 and den * (tau - 1) = t^2 - den
+        den, tsq = 2 * (t - 1), t * t
+        base = (tsq - den) * n
         if q.family is Family.K3HILB:
-            bpf_bound = (tau - 1) * n + tau + 1
-            va_bound = (tau - 1) * n + 2 * tau + 1
+            bpf_num, va_num = base + tsq + den, base + 2 * tsq + den
         else:
-            bpf_bound = (tau - 1) * n + 2 * tau - 1
-            va_bound = (tau - 1) * n + 3 * tau - 1
-        bpf_min, va_min = ceil(bpf_bound), ceil(va_bound)
-        bpf = d >= bpf_bound
-        va = d >= va_bound
+            bpf_num, va_num = base + 2 * tsq - den, base + 3 * tsq - den
+        bpf_min, va_min = -(-bpf_num // den), -(-va_num // den)
+        bpf, va = d * den >= bpf_num, d * den >= va_num
         notes.append("tau = t^2/(2(t-1)) = %s" % (tau,))
-        notes.append(
-            "base point free on some component iff d >= %s "
-            "(minimal integer d = %d); d = %d: %s"
-            % (bpf_bound, bpf_min, d, "satisfied" if bpf else "not satisfied"))
-        notes.append(
-            "very ample on some component iff d >= %s "
-            "(minimal integer d = %d); d = %d: %s"
-            % (va_bound, va_min, d, "satisfied" if va else "not satisfied"))
+        for name, num, d_min, ok in (
+                ("base point free", bpf_num, bpf_min, bpf),
+                ("very ample", va_num, va_min, va)):
+            # num/den in lowest terms, as str(Fraction(num, den)) prints it
+            g = gcd(num, den)
+            bound = ("%d" % (num // g) if g == den
+                     else "%d/%d" % (num // g, den // g))
+            notes.append(
+                "%s on some component iff d >= %s (minimal integer d = %d); "
+                "d = %d: %s" % (name, bound, d_min, d,
+                                "satisfied" if ok else "not satisfied"))
     if bpf:
         notes.append("H^%d is very ample on the base point free component"
                      % fujita)
@@ -408,7 +404,6 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
         tau=tau,
         d_min_bpf=bpf_min,
         d_min_va=va_min,
-        t_equals_one=(t == 1),
         notes=tuple(notes),
     )
 

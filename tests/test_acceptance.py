@@ -179,7 +179,7 @@ def test_criterion_6_threshold_pins():
     # t = 1 branches
     for n in range(2, 13):
         th = thresholds(ModuliQuery(K3, n, 1, 1))
-        expect(th.t_equals_one and th.tau is None and th.bpf,
+        expect(th.tau is None and th.bpf,
                "k3n t=1 bpf unconditional n=%d" % n)
         expect(th.d_min_va == n + 1, "k3n t=1 d_min_va n=%d" % n)
         expect(not thresholds(ModuliQuery(K3, n, n, 1)).very_ample

@@ -170,6 +170,42 @@ def test_witness_json_with_oracle(capsys):
     assert obj["oracle"]["agrees"] is True
 
 
+# ------------------------------------------------------------ parser reuse
+
+CHECK = ["check", "--family", "kum", "--n", "11", "--d", "36", "--t", "24",
+         "--format", "json"]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    run(capsys, *CHECK)
+    built = []
+    original = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    for argv in (CHECK,
+                 ["table", "--family", "k3n", "--n", "2", "--d-range",
+                  "1..3", "--t", "1,2", "--format", "csv"],
+                 ["kva", "--surface", "k3", "--a", "1", "--e", "4"],
+                 ["witness", "--family", "k3n", "--n", "2", "--d", "3",
+                  "--t", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    first = run(capsys, *CHECK)
+    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "2")
+    assert code == 1 and out == "" and "required" in err
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0 and "--oracle" in out
+    assert run(capsys, *CHECK) == first
+    assert first[0] == 0 and first[2] == ""
+
+
 # -------------------------------------------------------- errors and bounds
 
 def test_usage_errors_exit_1(capsys):

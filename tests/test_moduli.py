@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from math import gcd
@@ -255,7 +256,7 @@ def test_thresholds_t2_pins():
             assert th.tau == Fraction(2)
             assert th.d_min_bpf == n + 3
             assert th.d_min_va == n + 5
-            assert not th.t_equals_one
+            assert th.tau is not None
             assert thresholds(ModuliQuery(family, n, n + 2, 2)).bpf is False
             assert thresholds(ModuliQuery(family, n, n + 3, 2)).bpf is True
             assert thresholds(ModuliQuery(family, n, n + 4, 2)).very_ample \
@@ -283,7 +284,7 @@ def test_thresholds_t3_n2_pins():
 def test_thresholds_t1_pins():
     for n in (2, 5, 9):
         th = thresholds(ModuliQuery(K3, n, 1, 1))
-        assert th.t_equals_one and th.tau is None
+        assert th.tau is None
         assert th.bpf is True and th.d_min_bpf == 1
         assert th.d_min_va == n + 1
         assert thresholds(ModuliQuery(K3, n, n, 1)).very_ample is False
@@ -315,6 +316,104 @@ def test_thresholds_monotone_in_d(family, n, d, t):
     # d_min is the exact cutoff
     assert th1.bpf == (d >= th1.d_min_bpf)
     assert th1.very_ample == (d >= th1.d_min_va)
+
+
+def _bounds(family, n, t):
+    # the (bpf, very ample) bounds as Fractions
+    if t == 1:
+        return ((Fraction(1), Fraction(n + 1)) if family is K3
+                else (Fraction(3), Fraction(n + 4)))
+    tau = Fraction(t * t, 2 * (t - 1))
+    if family is K3:
+        return (tau - 1) * n + tau + 1, (tau - 1) * n + 2 * tau + 1
+    return (tau - 1) * n + 2 * tau - 1, (tau - 1) * n + 3 * tau - 1
+
+
+def _fraction_thresholds(family, n, d, t):
+    # Reference for thresholds: the bounds as exact Fractions, compared and
+    # rounded up directly and rendered with str(Fraction); no common
+    # denominator, no integer cross-multiplication.
+    notes = []
+    if t == 1:
+        if family is K3:
+            bpf_min, va_min = 1, n + 1
+            notes.append("t = 1: base point free for every d on some component")
+        else:
+            bpf_min, va_min = 3, n + 4
+            notes.append(
+                "t = 1: base point free on some component iff d >= 3")
+        bpf, va = d >= bpf_min, d >= va_min
+        notes.append("very ample on some component iff d >= %d; d = %d: %s"
+                     % (va_min, d, "satisfied" if va else "not satisfied"))
+        tau = None
+    else:
+        tau = Fraction(t * t, 2 * (t - 1))
+        bpf_bound, va_bound = _bounds(family, n, t)
+        bpf_min, va_min = math.ceil(bpf_bound), math.ceil(va_bound)
+        bpf, va = d >= bpf_bound, d >= va_bound
+        notes.append("tau = t^2/(2(t-1)) = %s" % (tau,))
+        for name, bound, d_min, ok in (
+                ("base point free", bpf_bound, bpf_min, bpf),
+                ("very ample", va_bound, va_min, va)):
+            notes.append(
+                "%s on some component iff d >= %s "
+                "(minimal integer d = %d); d = %d: %s"
+                % (name, bound, d_min, d,
+                   "satisfied" if ok else "not satisfied"))
+    if bpf:
+        notes.append("H^%d is very ample on the base point free component"
+                     % (n + 2))
+    return bpf, va, bpf_min, va_min, tau, tuple(notes)
+
+
+def _threshold_fields(th):
+    return (th.bpf, th.very_ample, th.d_min_bpf, th.d_min_va, th.tau,
+            th.notes)
+
+
+def test_thresholds_match_fraction_reference():
+    on_bound = 0
+    for family in (K3, KUM):
+        for n in range(2, 41):
+            for t in range(1, 61):
+                ds = set()
+                for bound in _bounds(family, n, t):
+                    ds.update(range(max(1, math.floor(bound) - 2),
+                                    math.ceil(bound) + 3))
+                    on_bound += t > 1 and bound.denominator == 1
+                for d in sorted(ds):
+                    th = thresholds(ModuliQuery(family, n, d, t))
+                    assert _threshold_fields(th) == _fraction_thresholds(
+                        family, n, d, t), (family, n, d, t)
+    # the grid puts d exactly on an integral bound, d * 2(t-1) == num
+    assert on_bound
+
+
+@st.composite
+def near_bound_queries(draw):
+    family = draw(families)
+    n = draw(st.integers(min_value=2, max_value=10 ** 6))
+    t = draw(st.integers(min_value=2, max_value=10 ** 6))
+    bound = draw(st.sampled_from(_bounds(family, n, t)))
+    d = math.ceil(bound) + draw(st.integers(min_value=-2, max_value=2))
+    return ModuliQuery(family, n, max(d, 1), t)
+
+
+@settings(max_examples=300)
+@given(near_bound_queries())
+def test_thresholds_match_fraction_reference_at_large_t(q):
+    assert _threshold_fields(thresholds(q)) == _fraction_thresholds(*q)
+
+
+def test_counting_cases_are_disjoint():
+    # (i) needs g1 even and (ii)-(iv) g1 odd; (iv) needs t1 even and
+    # (ii)-(iii) t1 odd; (ii) needs d1 odd and (iii) d1 even
+    for family in (K3, KUM):
+        for n in range(2, 41):
+            for t in divisors(2 * family.m(n)):
+                for d in range(1, 101):
+                    q = ModuliQuery(family, n, d, t)
+                    assert len(component_count_detail(q).matched) <= 1, q
 
 
 # ------------------------------------------------- prime power connectivity
