@@ -20,7 +20,8 @@ search.  Bounds default to values that provably contain a witness whenever
 one exists; HK_ORACLE_BOUNDS="MAX_A,MAX_B,MAX_E" widens them (values below
 the defaults are ignored, the search never shrinks below completeness).  A
 search over more than ORACLE_MAX_CANDIDATES candidate (a, b) pairs, about
-max_a * (2*max_b + 1), is refused with exit 1 instead of being run.
+(max_a // t) * (2*max_b + 1) since only multiples of t are tried for a, is
+refused with exit 1 instead of being run.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_wi
 __all__ = ["main"]
 
 # At 0.2-0.35 us per candidate (Python 3.11) a refused search would have
-# run for at least 4-7 s; the default bounds reach the cap near t = 215.
+# run for at least 4-7 s; the default bounds scan 2*t^2 + 1 candidates and
+# reach the cap near t = 3163.
 ORACLE_MAX_CANDIDATES = 20_000_000
 
 _CSV_HEADER = [
@@ -104,11 +106,12 @@ def _oracle_bounds(q: ModuliQuery) -> SearchBounds:
 
 def _run_oracle(q: ModuliQuery, rep: ModuliReport) -> dict:
     bounds = _oracle_bounds(q)
-    candidates = bounds.max_a * (2 * bounds.max_b + 1)
+    # the oracle tries only the multiples of t up to max_a
+    candidates = (bounds.max_a // q.t) * (2 * bounds.max_b + 1)
     if candidates > ORACLE_MAX_CANDIDATES:
         raise ValueError(
             "oracle search with a <= %d, |b| <= %d would scan about %d "
-            "candidates (max_a * (2*max_b + 1)), above the cap of %d"
+            "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
             % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
     hits = enumerate_witnesses(q, bounds, stop_after=1)
     agrees = bool(hits) == rep.non_empty

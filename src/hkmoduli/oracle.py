@@ -6,10 +6,17 @@ keeps those with bbf_square(v) = 2d and divisibility(v) = t, checking both
 through the lattice module's definitions.  Since v and -v generate the same
 polarization data, a is restricted to a >= 1 while b runs over both signs.
 
+Only multiples of t are tried for a: (v, g) = a, because f.g = 1, g^2 = 0
+and delta is orthogonal to U, and div(v) divides every pairing of v, so
+div(v) = t forces t | a.  A search over the default bounds therefore scans
+2*t^2 + 1 candidates (a, b).
+
 For a non-empty space the explicit witness construction produces a class
-with a = t, 1 <= b <= t^2 and e = (d + b^2*m)/t^2 <= d + t^2*m, so the
-default bounds (max_a = t, max_b = t^2, max_e = d + t^4*(n+1)) are large
-enough that "no hit within default bounds" genuinely means "empty".
+with a = t, 1 <= b <= t and e = (d + b^2*m)/t^2 <= d + m.  The default
+bounds (max_a = t, max_b = t^2, max_e = d + t^4*(n+1)) are wider on purpose:
+they contain the witness even for b up to t^2, so the oracle does not lean
+on the lemma that the smallest residue b lies in [1, t].  "No hit within
+default bounds" therefore genuinely means "empty".
 """
 
 from __future__ import annotations
@@ -58,9 +65,9 @@ def enumerate_witnesses(
     m = family.m(n)
     max_a, max_b, max_e = bounds
     found: list[Witness] = []
-    squares = [a * a for a in range(max_a + 1)]
-    for a in range(1, max_a + 1):
-        asq = squares[a]
+    # t | a for every hit, since (v, g) = a (see the module docstring)
+    for a in range(t, max_a + 1, t):
+        asq = a * a
         for b in range(-max_b, max_b + 1):
             # e is forced by requiring the square to be 2d:
             # 2*a^2*e - 2*b^2*m = 2d  <=>  e = (d + b^2*m) / a^2.

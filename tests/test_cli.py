@@ -80,6 +80,22 @@ def test_check_with_oracle(capsys):
     assert obj["oracle"]["bounds"] == {"max_a": 2, "max_b": 4, "max_e": 51}
 
 
+def test_check_with_oracle_at_large_t(capsys):
+    # t = 1000 | 2m = 2000.  d = 1 is empty (1000 must divide d);
+    # d = 10^6 - 1000 = -(1^2 * m) mod t^2 is non-empty, witness (1000, 1, 1).
+    for d, non_empty in (("1", False), ("999000", True)):
+        code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "1001",
+                           "--d", d, "--t", "1000", "--format", "json",
+                           "--oracle")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["non_empty"] is non_empty
+        assert obj["oracle"]["agrees"] is True
+        assert obj["oracle"]["witness_found"] is non_empty
+        assert obj["oracle"]["bounds"]["max_a"] == 1000
+    assert obj["witness"] == [1000, 1, 1]
+
+
 # ------------------------------------------------------------------- table
 
 def test_table_csv_contract(capsys):
@@ -257,16 +273,16 @@ def _no_search(*args, **kwargs):
 
 
 def test_oracle_refuses_large_t(capsys, monkeypatch):
-    # default bounds at t = 300: 300 * (2 * 90000 + 1) candidates
+    # default bounds at t = 3200: one multiple of t times (2 * 3200^2 + 1)
     monkeypatch.setattr(cli, "enumerate_witnesses", _no_search)
-    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "301",
-                         "--d", "1", "--t", "300", "--oracle")
+    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "3201",
+                         "--d", "1", "--t", "3200", "--oracle")
     assert code == 1
     assert out == ""
-    assert "54000300" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
-    code, _, err = run(capsys, "witness", "--family", "k3n", "--n", "301",
-                       "--d", "1", "--t", "300", "--oracle")
-    assert code == 1 and "54000300" in err
+    assert "20480001" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
+    code, _, err = run(capsys, "witness", "--family", "k3n", "--n", "3201",
+                       "--d", "1", "--t", "3200", "--oracle")
+    assert code == 1 and "20480001" in err
 
 
 def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
@@ -276,7 +292,8 @@ def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
                          "--d", "3", "--t", "2", "--oracle")
     assert code == 1
     assert out == ""
-    assert "200001000" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
+    # 1000 // 2 multiples of t = 2, times 2 * 100000 + 1
+    assert "100000500" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
     # at or just under the cap the search runs
     searched = []
 
@@ -285,8 +302,9 @@ def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
         return ["hit"]
 
     monkeypatch.setattr(cli, "enumerate_witnesses", search)
+    # 20 // 2 = 10 multiples of t = 2, times 2 * max_b + 1, just under the cap
     max_b = (cli.ORACLE_MAX_CANDIDATES // 10 - 1) // 2
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "10,%d,1" % max_b)
+    monkeypatch.setenv("HK_ORACLE_BOUNDS", "20,%d,1" % max_b)
     code, _, _ = run(capsys, "check", "--family", "k3n", "--n", "2",
                      "--d", "3", "--t", "2", "--oracle")
     assert code == 0 and searched[0].max_b == max_b

@@ -3,7 +3,9 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkmoduli.lattice import Family
+from hkmoduli import oracle
+from hkmoduli.arith import divisors
+from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
 from hkmoduli.moduli import ModuliQuery, Witness, is_nonempty, witness
 from hkmoduli.oracle import (
     SearchBounds,
@@ -89,3 +91,101 @@ def test_oracle_agrees_with_formula(family, n, d, t):
         assert verify_witness(w, q)
         full = enumerate_witnesses(q)
         assert w in full
+
+
+@st.composite
+def large_t_queries(draw):
+    """(query, built_non_empty): t | 2m with t <= 60, half the d built as
+    -b^2*m (mod t^2) for a unit b, so that the space is non-empty."""
+    family = draw(families)
+    n = draw(st.integers(min_value=2, max_value=200))
+    m = family.m(n)
+    t = draw(st.sampled_from([t for t in divisors(2 * m) if t <= 60]))
+    tsq = t * t
+    built = draw(st.booleans())
+    if built:
+        b = draw(st.sampled_from([b for b in range(1, t + 1)
+                                  if gcd(b, t) == 1]))
+        d = (-b * b * m - 1) % tsq + 1 + tsq * draw(st.integers(0, 3))
+    else:
+        d = draw(st.integers(min_value=1, max_value=4 * tsq))
+    return ModuliQuery(family, n, d, t), built
+
+
+@settings(max_examples=200, deadline=None)
+@given(large_t_queries())
+def test_oracle_agrees_with_formula_at_larger_t(case):
+    q, built = case
+    hits = enumerate_witnesses(q)
+    assert bool(hits) == is_nonempty(q)
+    if built:
+        assert hits
+    w = witness(q)
+    if w is not None:
+        assert w in hits
+
+
+def _enumerate_every_a(q, bounds=None, stop_after=None):
+    """Reference: the search that tries every a in [1, max_a], not only the
+    multiples of t."""
+    if bounds is None:
+        bounds = default_bounds(q)
+    family, n, d, t = q
+    m = family.m(n)
+    max_a, max_b, max_e = bounds
+    found = []
+    for a in range(1, max_a + 1):
+        for b in range(-max_b, max_b + 1):
+            num = d + b * b * m
+            if num % (a * a):
+                continue
+            e = num // (a * a)
+            if e < 1 or e > max_e or gcd(a, b) != 1:
+                continue
+            c = LatticeClass(family, n, a, b, e)
+            if bbf_square(c) != 2 * d or divisibility(c) != t:
+                continue
+            found.append(Witness(a, b, e))
+            if stop_after is not None and len(found) >= stop_after:
+                return found
+    found.sort()
+    return found
+
+
+def test_multiples_of_t_match_every_a_reference():
+    searches = hits = 0
+    for family in (K3, KUM):
+        for n in range(2, 7):
+            for t in divisors(2 * family.m(n)):
+                for d in range(1, 31):
+                    q = ModuliQuery(family, n, d, t)
+                    # default bounds; max_a off a multiple of t (t = 1 has
+                    # none); max_a < t
+                    for bounds in (None, SearchBounds(2 * t + 1, 3 * t, 40),
+                                   SearchBounds(t - 1, t * t, 40)):
+                        for stop_after in (None, 1):
+                            got = enumerate_witnesses(q, bounds, stop_after)
+                            assert got == _enumerate_every_a(
+                                q, bounds, stop_after), (q, bounds, stop_after)
+                            searches += 1
+                            hits += bool(got)
+    assert hits and hits < searches
+
+
+def test_only_multiples_of_t_reach_the_lattice(monkeypatch):
+    seen = []
+
+    def recording_square(c):
+        seen.append(c)
+        return bbf_square(c)
+
+    monkeypatch.setattr(oracle, "bbf_square", recording_square)
+    checked = 0
+    for q in (ModuliQuery(K3, 4, 3, 6), ModuliQuery(KUM, 3, 28, 8),
+              ModuliQuery(K3, 2, 3, 2), ModuliQuery(KUM, 2, 3, 3)):
+        for bounds in (None, SearchBounds(3 * q.t + 1, 2 * q.t, 60)):
+            seen.clear()
+            enumerate_witnesses(q, bounds)
+            assert all(c.a % q.t == 0 for c in seen), (q, bounds, seen[:5])
+            checked += len(seen)
+    assert checked
