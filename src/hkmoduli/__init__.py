@@ -15,101 +15,75 @@ Modules:
     moduli   non-emptiness, component counts, witnesses, ampleness thresholds
     oracle   brute-force lattice search used to cross-verify the formulas
     cli      command line front end
+
+Every name in `__all__` can be read from the package itself.  The
+submodule that defines it is imported on first access (PEP 562), so
+`import hkmoduli` loads no submodule and `python -m hkmoduli` loads only
+what the command line front end needs.
 """
 
-from .arith import (
-    NotInvertible,
-    euler_phi,
-    factorize,
-    is_quadratic_residue,
-    mod_inverse,
-    qr_of_ratio,
-    rho,
-)
-from .lattice import (
-    DimensionMismatch,
-    Family,
-    GramLattice,
-    LatticeClass,
-    bbf_square,
-    divisibility,
-    embed_rank3,
-    full_model,
-    is_primitive,
-    rank3_model,
-)
-from .bundles import (
-    BundleSpec,
-    BundleStatus,
-    SurfaceKind,
-    induced_bundle_status,
-    max_k_very_ample,
-)
-from .moduli import (
-    ComponentCountDetail,
-    Decomposition,
-    DivisibilityViolation,
-    InternalInconsistency,
-    ModuliQuery,
-    ModuliReport,
-    ThresholdDecision,
-    Witness,
-    component_count,
-    component_count_detail,
-    decompose,
-    is_nonempty,
-    nonempty_residue,
-    prime_power_connected,
-    report,
-    thresholds,
-    witness,
-)
-from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_witness
+from importlib import import_module
 
-__all__ = [
-    "NotInvertible",
-    "euler_phi",
-    "factorize",
-    "is_quadratic_residue",
-    "mod_inverse",
-    "qr_of_ratio",
-    "rho",
-    "DimensionMismatch",
-    "Family",
-    "GramLattice",
-    "LatticeClass",
-    "bbf_square",
-    "divisibility",
-    "embed_rank3",
-    "full_model",
-    "is_primitive",
-    "rank3_model",
-    "BundleSpec",
-    "BundleStatus",
-    "SurfaceKind",
-    "induced_bundle_status",
-    "max_k_very_ample",
-    "ComponentCountDetail",
-    "Decomposition",
-    "DivisibilityViolation",
-    "InternalInconsistency",
-    "ModuliQuery",
-    "ModuliReport",
-    "ThresholdDecision",
-    "Witness",
-    "component_count",
-    "component_count_detail",
-    "decompose",
-    "is_nonempty",
-    "nonempty_residue",
-    "prime_power_connected",
-    "report",
-    "thresholds",
-    "witness",
-    "SearchBounds",
-    "default_bounds",
-    "enumerate_witnesses",
-    "verify_witness",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "NotInvertible": "arith",
+    "euler_phi": "arith",
+    "factorize": "arith",
+    "is_quadratic_residue": "arith",
+    "mod_inverse": "arith",
+    "qr_of_ratio": "arith",
+    "rho": "arith",
+    "DimensionMismatch": "lattice",
+    "Family": "lattice",
+    "GramLattice": "lattice",
+    "LatticeClass": "lattice",
+    "bbf_square": "lattice",
+    "divisibility": "lattice",
+    "embed_rank3": "lattice",
+    "full_model": "lattice",
+    "is_primitive": "lattice",
+    "rank3_model": "lattice",
+    "BundleSpec": "bundles",
+    "BundleStatus": "bundles",
+    "SurfaceKind": "bundles",
+    "induced_bundle_status": "bundles",
+    "max_k_very_ample": "bundles",
+    "ComponentCountDetail": "moduli",
+    "Decomposition": "moduli",
+    "DivisibilityViolation": "moduli",
+    "InternalInconsistency": "moduli",
+    "ModuliQuery": "moduli",
+    "ModuliReport": "moduli",
+    "ThresholdDecision": "moduli",
+    "Witness": "moduli",
+    "component_count": "moduli",
+    "component_count_detail": "moduli",
+    "decompose": "moduli",
+    "is_nonempty": "moduli",
+    "nonempty_residue": "moduli",
+    "prime_power_connected": "moduli",
+    "report": "moduli",
+    "thresholds": "moduli",
+    "witness": "moduli",
+    "SearchBounds": "oracle",
+    "default_bounds": "oracle",
+    "enumerate_witnesses": "oracle",
+    "verify_witness": "oracle",
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(import_module("." + _EXPORTS[name], __name__), name)
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _EXPORTS.keys())

@@ -27,17 +27,15 @@ refused with exit 1 instead of being run.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
-import json
 import os
 import sys
 from typing import Optional, Sequence
 
-from .bundles import BundleSpec, SurfaceKind, induced_bundle_status, max_k_very_ample
+# json, csv and the bundles module are imported in the branches that use
+# them, so a one-shot call does not pay for what it does not print.
 from .lattice import Family
-from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, report
+from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, Witness, report
 from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_witness
 
 __all__ = ["main"]
@@ -47,12 +45,18 @@ __all__ = ["main"]
 # reach the cap near t = 3163.
 ORACLE_MAX_CANDIDATES = 20_000_000
 
-_CSV_HEADER = [
-    "family", "n", "d", "t", "non_empty", "components",
-    "witness_a", "witness_b", "witness_e",
-    "bpf_some_component", "va_some_component",
-    "fujita_power", "applies_to_all_components",
-]
+# JSON keys, CSV columns and CSV cells all follow the report's field order.
+# CSV leaves out the notes (the last field) and splits the witness into
+# one column per coordinate.
+_CSV_FIELDS = ModuliReport._fields[:-1]
+_CSV_HEADER = [column for field in _CSV_FIELDS
+               for column in (["witness_" + c for c in Witness._fields]
+                              if field == "witness" else [field])]
+_NO_WITNESS = ("",) * len(Witness._fields)
+
+# the values of bundles.SurfaceKind, written out so that building the parser
+# does not import the bundles module (a test keeps the two equal)
+_SURFACES = ("k3", "abelian")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,23 +134,14 @@ def _run_oracle(q: ModuliQuery, rep: ModuliReport) -> dict:
 
 
 def _report_dict(rep: ModuliReport) -> dict:
-    return {
-        "family": rep.family.value,
-        "n": rep.n,
-        "d": rep.d,
-        "t": rep.t,
-        "non_empty": rep.non_empty,
-        "components": rep.components,
-        "witness": list(rep.witness) if rep.witness is not None else None,
-        "bpf_some_component": rep.bpf_some_component,
-        "va_some_component": rep.va_some_component,
-        "fujita_power": rep.fujita_power,
-        "applies_to_all_components": rep.applies_to_all_components,
-        "threshold_notes": list(rep.threshold_notes),
-    }
+    # json writes the witness and the notes, both tuples, as arrays
+    obj = rep._asdict()
+    obj["family"] = rep.family.value
+    return obj
 
 
 def _emit_json(obj) -> None:
+    import json
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
@@ -178,14 +173,15 @@ def _print_report_human(rep: ModuliReport, oracle: Optional[dict]) -> None:
 
 
 def _csv_row(rep: ModuliReport) -> list:
-    w = rep.witness
-    return [
-        rep.family.value, rep.n, rep.d, rep.t,
-        int(rep.non_empty), rep.components,
-        w.a if w else "", w.b if w else "", w.e if w else "",
-        int(rep.bpf_some_component), int(rep.va_some_component),
-        rep.fujita_power, int(rep.applies_to_all_components),
-    ]
+    row: list = []
+    for field, value in zip(_CSV_FIELDS, rep):
+        if field == "family":
+            row.append(value.value)
+        elif field == "witness":
+            row.extend(_NO_WITNESS if value is None else value)
+        else:
+            row.append(int(value) if isinstance(value, bool) else value)
+    return row
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -209,6 +205,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json([_report_dict(r) for r in reps])
     elif args.format == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -229,6 +227,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_kva(args: argparse.Namespace) -> int:
+    from .bundles import (BundleSpec, SurfaceKind, induced_bundle_status,
+                          max_k_very_ample)
     spec = BundleSpec(SurfaceKind(args.surface), args.a, args.e)
     k = max_k_very_ample(spec)
     if args.format == "json":
@@ -311,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("kva", help="k-very-ampleness bound on a surface")
-    p.add_argument("--surface", required=True,
-                   choices=[s.value for s in SurfaceKind])
+    p.add_argument("--surface", required=True, choices=_SURFACES)
     p.add_argument("--a", required=True, type=int, help="multiple of H")
     p.add_argument("--e", required=True, type=int, help="H^2 = 2e")
     p.add_argument("--n", type=int, default=None,

@@ -34,7 +34,6 @@ check the reduction instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from operator import mul
@@ -127,21 +126,32 @@ def is_primitive(a: int, b: int) -> bool:
     return gcd(a, b) == 1
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """A lattice given by an explicit integer Gram matrix."""
-
+class _GramFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        r = len(self.gram)
-        for row in self.gram:
+
+class GramLattice(_GramFields):
+    """A lattice given by an explicit integer Gram matrix."""
+
+    # Validation needs __new__, which a NamedTuple body cannot override, so
+    # it lives in this subclass; empty slots keep instances immutable.
+    __slots__ = ()
+
+    def __new__(cls, gram: tuple[tuple[int, ...], ...]) -> GramLattice:
+        r = len(gram)
+        for row in gram:
             if len(row) != r:
                 raise ValueError("Gram matrix must be square")
         for i in range(r):
             for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
+        return super().__new__(cls, gram)
+
+    @classmethod
+    def _make(cls, iterable) -> GramLattice:
+        # the inherited _make (and so _replace) would skip __new__
+        return cls(*iterable)
 
     @property
     def rank(self) -> int:

@@ -83,14 +83,14 @@ they extend to the whole space exactly when the component count is 1.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
 from .lattice import Family, LatticeClass, bbf_square, divisibility, is_primitive
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ComponentCountDetail",
@@ -111,9 +111,6 @@ __all__ = [
     "thresholds",
     "witness",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class DivisibilityViolation(ValueError):
     """t does not divide gcd(2d, 2m)."""
@@ -147,8 +144,7 @@ def _validate(q: ModuliQuery) -> None:
         raise ValueError("t must be >= 1, got %r" % (q.t,))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """The derived quantities the counting cases are stated in.
 
     big_gcd = gcd(2d, 2m), d1 = 2d/big_gcd, n1 = 2m/big_gcd, g = big_gcd/t,
@@ -175,27 +171,32 @@ class ComponentCountDetail(NamedTuple):
     matched: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
+class ThresholdDecision(NamedTuple):
     """Per-component ampleness guarantees for a query (see module docstring).
 
     The booleans say whether d clears the bound; they are statements about
     components and are vacuous when the space is empty.  d_min_bpf/d_min_va
     are the smallest integers d clearing each bound at this (family, n, t).
-    tau is None exactly when t = 1.
     """
 
     bpf: bool
     very_ample: bool
     fujita_power: int
-    tau: Optional[Fraction]
+    t: int
     d_min_bpf: int
     d_min_va: int
     notes: tuple[str, ...]
 
+    @property
+    def tau(self) -> Optional[Fraction]:
+        """t^2 / (2(t-1)) as a Fraction, built when read; None at t = 1."""
+        if self.t == 1:
+            return None
+        from fractions import Fraction
+        return Fraction(self.t * self.t, 2 * (self.t - 1))
 
-@dataclass(frozen=True)
-class ModuliReport:
+
+class ModuliReport(NamedTuple):
     family: Family
     n: int
     d: int
@@ -269,7 +270,6 @@ def _two_power_value(base: int, exponent: int, q: ModuliQuery) -> tuple[int, boo
     if base % 2:
         raise InternalInconsistency(
             "odd branch value %d cannot be halved at %r" % (base, q))
-    logger.debug("exact halving applied at %r", q)
     return base // 2, True
 
 
@@ -306,11 +306,13 @@ def nonempty_residue(q: ModuliQuery) -> Optional[int]:
 
     Once t | 2m both conditions depend only on b mod t (see the module
     docstring), so the smallest valid b lies in [1, t] and only that range
-    is scanned.
+    is scanned.  No b exists unless t also divides 2d: d = -b^2*m (mod t^2)
+    gives 2d = -b^2*(2m) = 0 (mod t), so the scan is skipped when t does
+    not divide 2d.
     """
     _validate(q)
     m = q.family.m(q.n)
-    if (2 * m) % q.t:
+    if (2 * m) % q.t or (2 * q.d) % q.t:
         return None
     tsq = q.t * q.t
     target = (-q.d) % tsq
@@ -346,13 +348,19 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
     return w
 
 
+def _ratio(num: int, den: int) -> str:
+    # num/den in lowest terms (den > 0), as str(Fraction(num, den)) prints it
+    g = gcd(num, den)
+    return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
+
+
 def thresholds(q: ModuliQuery) -> ThresholdDecision:
     """Per-component base point freeness / very ampleness guarantees.
 
     Pure threshold arithmetic, no emptiness check; combine with
-    non-emptiness via `report`.  For t >= 2 every bound is num / (2(t-1))
-    with an integer num, so d is compared and the bounds are rounded by
-    exact integer cross-multiplication; `Fraction` is kept only for tau.
+    non-emptiness via `report`.  For t >= 2, tau and both bounds are
+    integers over the common denominator 2(t-1), so d is compared, the
+    bounds are rounded and the notes are rendered in exact integers.
     """
     _validate(q)
     n, d, t = q.n, q.d, q.t
@@ -370,9 +378,7 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
         va = d >= va_min
         notes.append("very ample on some component iff d >= %d; d = %d: %s"
                      % (va_min, d, "satisfied" if va else "not satisfied"))
-        tau = None
     else:
-        tau = Fraction(t * t, 2 * (t - 1))
         # den * bound, with den * tau = t^2 and den * (tau - 1) = t^2 - den
         den, tsq = 2 * (t - 1), t * t
         base = (tsq - den) * n
@@ -382,17 +388,13 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
             bpf_num, va_num = base + 2 * tsq - den, base + 3 * tsq - den
         bpf_min, va_min = -(-bpf_num // den), -(-va_num // den)
         bpf, va = d * den >= bpf_num, d * den >= va_num
-        notes.append("tau = t^2/(2(t-1)) = %s" % (tau,))
+        notes.append("tau = t^2/(2(t-1)) = %s" % _ratio(tsq, den))
         for name, num, d_min, ok in (
                 ("base point free", bpf_num, bpf_min, bpf),
                 ("very ample", va_num, va_min, va)):
-            # num/den in lowest terms, as str(Fraction(num, den)) prints it
-            g = gcd(num, den)
-            bound = ("%d" % (num // g) if g == den
-                     else "%d/%d" % (num // g, den // g))
             notes.append(
                 "%s on some component iff d >= %s (minimal integer d = %d); "
-                "d = %d: %s" % (name, bound, d_min, d,
+                "d = %d: %s" % (name, _ratio(num, den), d_min, d,
                                 "satisfied" if ok else "not satisfied"))
     if bpf:
         notes.append("H^%d is very ample on the base point free component"
@@ -401,7 +403,7 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
         bpf=bpf,
         very_ample=va,
         fujita_power=fujita,
-        tau=tau,
+        t=t,
         d_min_bpf=bpf_min,
         d_min_va=va_min,
         notes=tuple(notes),

@@ -118,6 +118,14 @@ def test_table_csv_contract(capsys):
             assert r[6] and r[8]
 
 
+def test_csv_header_golden():
+    # built from the report's fields; the bytes are part of the CSV contract
+    assert ",".join(cli._CSV_HEADER) == (
+        "family,n,d,t,non_empty,components,witness_a,witness_b,witness_e,"
+        "bpf_some_component,va_some_component,fujita_power,"
+        "applies_to_all_components")
+
+
 def test_table_json_sorted(capsys):
     code, out, _ = run(capsys, "table", "--family", "kum", "--n", "3",
                        "--d-range", "1..5", "--t", "4,2", "--format", "json")
@@ -154,6 +162,12 @@ def test_kva_with_n(capsys):
     assert obj["max_k_very_ample"] == -1
     assert obj["induced_bpf"] is False
     assert obj["induced_very_ample"] is False
+
+
+def test_surface_choices_match_surface_kind():
+    from hkmoduli.bundles import SurfaceKind
+
+    assert cli._SURFACES == tuple(s.value for s in SurfaceKind)
 
 
 def test_kva_human_negative_bound(capsys):

@@ -115,6 +115,8 @@ def test_gram_validation():
         GramLattice(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         GramLattice(((0, 1),))
+    with pytest.raises(ValueError):
+        hyperbolic_plane()._replace(gram=((0, 1), (2, 0)))
 
 
 def test_hyperbolic_plane():

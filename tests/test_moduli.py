@@ -165,6 +165,33 @@ def test_nonempty_residue_is_smallest_in_t_squared(q):
     assert nonempty_residue(q) == _smallest_residue_up_to_t_squared(*q)
 
 
+def _smallest_b_by_residue(family, n, t):
+    # Reference for the t | 2d early exit: the full scan of b in [1, t],
+    # run once per t, mapping each residue -b^2*m mod t^2 it reaches to
+    # the smallest such b.  Nothing here tests whether t divides 2d.
+    m, tsq = family.m(n), t * t
+    first = {}
+    for b in range(1, t + 1):
+        if gcd(b, t) == 1:
+            first.setdefault((-b * b * m) % tsq, b)
+    return first
+
+
+def test_nonempty_residue_matches_full_scan_when_t_does_not_divide_2d():
+    skipped = 0
+    for family in (K3, KUM):
+        for n in range(2, 41):
+            for t in divisors(2 * family.m(n)):
+                first = _smallest_b_by_residue(family, n, t)
+                tsq = t * t
+                for d in range(1, 4 * tsq + 1):
+                    q = ModuliQuery(family, n, d, t)
+                    assert nonempty_residue(q) == first.get(d % tsq), q
+                    skipped += (2 * d) % t != 0
+    # the grid reaches the early exit, not only the scan
+    assert skipped
+
+
 def test_large_t_empty_report_is_fast():
     # a scan of [1, t^2] takes about 100 s on this query (Python 3.11,
     # 2 CPUs); the scan of [1, t] takes milliseconds
