@@ -63,11 +63,13 @@ _EXPORTS = {
     "nonempty_residue": "moduli",
     "prime_power_connected": "moduli",
     "report": "moduli",
+    "reports": "moduli",
     "thresholds": "moduli",
     "witness": "moduli",
     "SearchBounds": "oracle",
     "default_bounds": "oracle",
     "enumerate_witnesses": "oracle",
+    "orbit_count": "oracle",
     "verify_witness": "oracle",
 }
 _SUBMODULES = frozenset(_EXPORTS.values())

@@ -28,14 +28,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from typing import Optional, Sequence
 
-# json, csv and the bundles module are imported in the branches that use
-# them, so a one-shot call does not pay for what it does not print.
+# json and the bundles module are imported in the branches that use them,
+# so a one-shot call does not pay for what it does not print.
 from .lattice import Family
-from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, Witness, report
+from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
+                     Witness, report, reports)
 from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_witness
 
 __all__ = ["main"]
@@ -46,13 +48,19 @@ __all__ = ["main"]
 ORACLE_MAX_CANDIDATES = 20_000_000
 
 # JSON keys, CSV columns and CSV cells all follow the report's field order.
-# CSV leaves out the notes (the last field) and splits the witness into
-# one column per coordinate.
+# JSON puts the notes in place of `halved` (the last field); CSV leaves
+# that field out and splits the witness into one column per coordinate.
 _CSV_FIELDS = ModuliReport._fields[:-1]
 _CSV_HEADER = [column for field in _CSV_FIELDS
                for column in (["witness_" + c for c in Witness._fields]
                               if field == "witness" else [field])]
-_NO_WITNESS = ("",) * len(Witness._fields)
+# Every cell but the family and the witness is an int, or a bool that %d
+# prints as 0/1, so no cell needs quoting and a row is one format string.
+_WITNESS_AT = _CSV_FIELDS.index("witness")
+_CSV_LINE = ",".join("%s" if field in ("family", "witness") else "%d"
+                     for field in _CSV_FIELDS) + "\n"
+_WITNESS_CELLS = ",".join("%d" for _ in Witness._fields)
+_NO_WITNESS = "," * (len(Witness._fields) - 1)
 
 # the values of bundles.SurfaceKind, written out so that building the parser
 # does not import the bundles module (a test keeps the two equal)
@@ -137,6 +145,8 @@ def _report_dict(rep: ModuliReport) -> dict:
     # json writes the witness and the notes, both tuples, as arrays
     obj = rep._asdict()
     obj["family"] = rep.family.value
+    del obj["halved"]
+    obj["threshold_notes"] = rep.threshold_notes
     return obj
 
 
@@ -172,16 +182,12 @@ def _print_report_human(rep: ModuliReport, oracle: Optional[dict]) -> None:
                  oracle["bounds"]["max_e"]))
 
 
-def _csv_row(rep: ModuliReport) -> list:
-    row: list = []
-    for field, value in zip(_CSV_FIELDS, rep):
-        if field == "family":
-            row.append(value.value)
-        elif field == "witness":
-            row.extend(_NO_WITNESS if value is None else value)
-        else:
-            row.append(int(value) if isinstance(value, bool) else value)
-    return row
+def _csv_line(rep: ModuliReport) -> str:
+    cells = list(rep[:-1])
+    cells[0] = rep.family.value
+    w = rep.witness
+    cells[_WITNESS_AT] = _NO_WITNESS if w is None else _WITNESS_CELLS % w
+    return _CSV_LINE % tuple(cells)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -200,19 +206,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     family = Family(args.family)
-    cells = [(t, d) for t in sorted(set(args.t)) for d in args.d_range]
-    reps = [report(ModuliQuery(family, args.n, d, t)) for t, d in cells]
+    # `reports` validates n and t when called, so an input error exits 1
+    # before the first byte; the reports themselves are made as they print
+    reps = itertools.chain.from_iterable(
+        [reports(family, args.n, t, args.d_range)
+         for t in sorted(set(args.t))])
     if args.format == "json":
         _emit_json([_report_dict(r) for r in reps])
     elif args.format == "csv":
-        import csv
-        import io
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for r in reps:
-            writer.writerow(_csv_row(r))
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(",".join(_CSV_HEADER) + "\n")
+        sys.stdout.writelines(map(_csv_line, reps))
     else:
         print("family=%s n=%d" % (family.value, args.n))
         print("%4s %5s %6s %5s %8s %4s %4s %4s" %

@@ -32,7 +32,8 @@ For t > 2 the number of connected components is
     w+ * phi(w-) * 2^(rho(t1) - 1)        in cases (i)-(iii)
     w+ * phi(w-) * 2^(rho(t1/2) - 1)      in case (iv)
 
-when exactly one of the following holds, and 0 otherwise:
+when exactly one of the following holds (as stated; case (iii) never does,
+see below), and 0 otherwise:
 
     (i)   g1 even,  gcd(d1, t1) = gcd(n1, t1) = 1,
           -d1/n1 a square mod t1;
@@ -63,8 +64,9 @@ tested in the acceptance suite):
   gcd(d1, t1) = 1 forces d1 odd when t1 is even).
 
 Case (iii) is vacuous as stated: g1, t1, w all odd forces t odd, hence
-g = G/t even (G is a gcd of even numbers), hence g1 even.  It is kept for
-completeness and costs nothing.
+g = G/t even (G is a gcd of even numbers), hence g1 even.  The code
+therefore evaluates only (i), (ii) and (iv); a grid test evaluates all four
+stated conditions and checks that (iii) never holds.
 
 Thresholds.  For t >= 2 let tau = t^2 / (2*(t-1)), an exact rational.  On
 some connected component of a non-empty moduli space the polarization is
@@ -84,7 +86,7 @@ they extend to the whole space exactly when the component count is 1.
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
 from .lattice import Family, LatticeClass, bbf_square, divisibility, is_primitive
@@ -108,6 +110,7 @@ __all__ = [
     "nonempty_residue",
     "prime_power_connected",
     "report",
+    "reports",
     "thresholds",
     "witness",
 ]
@@ -168,7 +171,6 @@ class ComponentCountDetail(NamedTuple):
     branch: Optional[str]
     halved: bool
     decomposition: Optional[Decomposition]
-    matched: tuple[str, ...]
 
 
 class ThresholdDecision(NamedTuple):
@@ -177,6 +179,8 @@ class ThresholdDecision(NamedTuple):
     The booleans say whether d clears the bound; they are statements about
     components and are vacuous when the space is empty.  d_min_bpf/d_min_va
     are the smallest integers d clearing each bound at this (family, n, t).
+    Each bound is bpf_num/den resp. va_num/den with den = 2(t-1), and
+    den = 1 at t = 1.
     """
 
     bpf: bool
@@ -185,7 +189,9 @@ class ThresholdDecision(NamedTuple):
     t: int
     d_min_bpf: int
     d_min_va: int
-    notes: tuple[str, ...]
+    d: int
+    bpf_num: int
+    va_num: int
 
     @property
     def tau(self) -> Optional[Fraction]:
@@ -195,8 +201,40 @@ class ThresholdDecision(NamedTuple):
         from fractions import Fraction
         return Fraction(self.t * self.t, 2 * (self.t - 1))
 
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """The decision in words, rendered from the integers when read."""
+        t, d = self.t, self.d
+        if t == 1:
+            # at t = 1 the base point free bound is 1 (every d) or 3
+            notes = ["t = 1: base point free for every d on some component"
+                     if self.d_min_bpf == 1 else
+                     "t = 1: base point free on some component iff d >= %d"
+                     % self.d_min_bpf,
+                     "very ample on some component iff d >= %d; d = %d: %s"
+                     % (self.d_min_va, d, _satisfied(self.very_ample))]
+        else:
+            den = 2 * (t - 1)
+            notes = ["tau = t^2/(2(t-1)) = %s" % _ratio(t * t, den)]
+            for name, num, d_min, ok in (
+                    ("base point free", self.bpf_num, self.d_min_bpf,
+                     self.bpf),
+                    ("very ample", self.va_num, self.d_min_va,
+                     self.very_ample)):
+                notes.append(
+                    "%s on some component iff d >= %s (minimal integer d = "
+                    "%d); d = %d: %s" % (name, _ratio(num, den), d_min, d,
+                                         _satisfied(ok)))
+        if self.bpf:
+            notes.append("H^%d is very ample on the base point free "
+                         "component" % self.fujita_power)
+        return tuple(notes)
+
 
 class ModuliReport(NamedTuple):
+    """Full answer for one query; `halved` says whether the component count
+    used exact halving (see the module docstring)."""
+
     family: Family
     n: int
     d: int
@@ -208,7 +246,17 @@ class ModuliReport(NamedTuple):
     va_some_component: bool
     fujita_power: int
     applies_to_all_components: bool
-    threshold_notes: tuple[str, ...]
+    halved: bool
+
+    @property
+    def threshold_notes(self) -> tuple[str, ...]:
+        """The threshold notes of the query, and one more when the count
+        used exact halving; rendered when read."""
+        notes = thresholds(ModuliQuery(self.family, self.n, self.d,
+                                       self.t)).notes
+        if self.halved:
+            notes += ("component count used exact halving (rho = 0 case)",)
+        return notes
 
 
 def decompose(q: ModuliQuery) -> Decomposition:
@@ -242,24 +290,22 @@ def decompose(q: ModuliQuery) -> Decomposition:
     )
 
 
-def _matched_cases(dec: Decomposition) -> list[str]:
-    # Order as stated; parity and gcd conditions are evaluated before the
+def _matched_case(dec: Decomposition) -> Optional[str]:
+    # The case that holds, or None.  At most one can: (i) needs g1 even, the
+    # others g1 odd; (ii) needs t1 odd, (iv) t1 even.  Case (iii) never holds
+    # (module docstring).  Parity and gcd conditions are evaluated before the
     # quadratic residue tests, whose invertibility preconditions they secure.
-    d1, n1, g1, t1, w = dec.d1, dec.n1, dec.g1, dec.t1, dec.w
-    out = []
+    d1, n1, g1, t1 = dec.d1, dec.n1, dec.g1, dec.t1
     if (g1 % 2 == 0 and gcd(d1, t1) == 1 and gcd(n1, t1) == 1
             and qr_of_ratio(-d1, n1, t1)):
-        out.append("i")
+        return "i"
     if (g1 % 2 and t1 % 2 and d1 % 2 and gcd(d1, t1) == 1
             and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
-        out.append("ii")
-    if (g1 % 2 and t1 % 2 and w % 2 and d1 % 2 == 0 and gcd(d1, t1) == 1
-            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, 4 * n1, t1)):
-        out.append("iii")
+        return "ii"
     if (g1 % 2 and t1 % 2 == 0 and gcd(d1, t1) == 1
             and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
-        out.append("iv")
-    return out
+        return "iv"
+    return None
 
 
 def _two_power_value(base: int, exponent: int, q: ModuliQuery) -> tuple[int, bool]:
@@ -279,20 +325,17 @@ def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
     try:
         dec = decompose(q)
     except DivisibilityViolation:
-        return ComponentCountDetail(0, None, False, None, ())
-    matched = _matched_cases(dec)
-    if not matched:
-        return ComponentCountDetail(0, None, False, dec, ())
-    # At most one case matches: (i) needs g1 even, the others g1 odd; (ii)
-    # and (iii) need t1 odd, (iv) t1 even; (ii) needs d1 odd, (iii) d1 even.
-    branch = matched[0]
+        return ComponentCountDetail(0, None, False, None)
+    branch = _matched_case(dec)
+    if branch is None:
+        return ComponentCountDetail(0, None, False, dec)
     if q.t <= 2:
         count, halved = 1, False
     else:
         base = dec.w_plus * euler_phi(dec.w_minus)
         r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
         count, halved = _two_power_value(base, r - 1, q)
-    return ComponentCountDetail(count, branch, halved, dec, tuple(matched))
+    return ComponentCountDetail(count, branch, halved, dec)
 
 
 def component_count(q: ModuliQuery) -> int:
@@ -354,59 +397,43 @@ def _ratio(num: int, den: int) -> str:
     return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
 
 
+def _satisfied(ok: bool) -> str:
+    return "satisfied" if ok else "not satisfied"
+
+
+def _bounds(family: Family, n: int, t: int) -> tuple[int, int, int]:
+    # (den, bpf_num, va_num): the base point free and very ample bounds are
+    # bpf_num/den and va_num/den, with den = 2(t-1) for t >= 2 and 1 at t = 1
+    if t == 1:
+        return (1, 1, n + 1) if family is Family.K3HILB else (1, 3, n + 4)
+    # den * tau = t^2 and den * (tau - 1) = t^2 - den
+    den, tsq = 2 * (t - 1), t * t
+    base = (tsq - den) * n
+    if family is Family.K3HILB:
+        return den, base + tsq + den, base + 2 * tsq + den
+    return den, base + 2 * tsq - den, base + 3 * tsq - den
+
+
 def thresholds(q: ModuliQuery) -> ThresholdDecision:
     """Per-component base point freeness / very ampleness guarantees.
 
     Pure threshold arithmetic, no emptiness check; combine with
-    non-emptiness via `report`.  For t >= 2, tau and both bounds are
-    integers over the common denominator 2(t-1), so d is compared, the
-    bounds are rounded and the notes are rendered in exact integers.
+    non-emptiness via `report`.  Every bound is an integer over a common
+    denominator (2(t-1), or 1 at t = 1), so d is compared and the bounds are
+    rounded in exact integers.  The notes are rendered only when read.
     """
     _validate(q)
-    n, d, t = q.n, q.d, q.t
-    fujita = n + 2
-    notes: list[str] = []
-    if t == 1:
-        if q.family is Family.K3HILB:
-            bpf_min, va_min = 1, n + 1
-            notes.append("t = 1: base point free for every d on some component")
-        else:
-            bpf_min, va_min = 3, n + 4
-            notes.append(
-                "t = 1: base point free on some component iff d >= 3")
-        bpf = d >= bpf_min
-        va = d >= va_min
-        notes.append("very ample on some component iff d >= %d; d = %d: %s"
-                     % (va_min, d, "satisfied" if va else "not satisfied"))
-    else:
-        # den * bound, with den * tau = t^2 and den * (tau - 1) = t^2 - den
-        den, tsq = 2 * (t - 1), t * t
-        base = (tsq - den) * n
-        if q.family is Family.K3HILB:
-            bpf_num, va_num = base + tsq + den, base + 2 * tsq + den
-        else:
-            bpf_num, va_num = base + 2 * tsq - den, base + 3 * tsq - den
-        bpf_min, va_min = -(-bpf_num // den), -(-va_num // den)
-        bpf, va = d * den >= bpf_num, d * den >= va_num
-        notes.append("tau = t^2/(2(t-1)) = %s" % _ratio(tsq, den))
-        for name, num, d_min, ok in (
-                ("base point free", bpf_num, bpf_min, bpf),
-                ("very ample", va_num, va_min, va)):
-            notes.append(
-                "%s on some component iff d >= %s (minimal integer d = %d); "
-                "d = %d: %s" % (name, _ratio(num, den), d_min, d,
-                                "satisfied" if ok else "not satisfied"))
-    if bpf:
-        notes.append("H^%d is very ample on the base point free component"
-                     % fujita)
+    den, bpf_num, va_num = _bounds(q.family, q.n, q.t)
     return ThresholdDecision(
-        bpf=bpf,
-        very_ample=va,
-        fujita_power=fujita,
-        t=t,
-        d_min_bpf=bpf_min,
-        d_min_va=va_min,
-        notes=tuple(notes),
+        bpf=q.d * den >= bpf_num,
+        very_ample=q.d * den >= va_num,
+        fujita_power=q.n + 2,
+        t=q.t,
+        d_min_bpf=-(-bpf_num // den),
+        d_min_va=-(-va_num // den),
+        d=q.d,
+        bpf_num=bpf_num,
+        va_num=va_num,
     )
 
 
@@ -431,39 +458,58 @@ def prime_power_connected(q: ModuliQuery) -> bool:
     return gcd(2 * q.d, 2 * m) % p ** (a + 1) != 0
 
 
-def report(q: ModuliQuery) -> ModuliReport:
-    """Full answer for one query.
+def reports(family: Family, n: int, t: int,
+            ds: Iterable[int]) -> Iterator[ModuliReport]:
+    """Full answers for the queries (family, n, d, t), d running over ds.
 
-    Cross-checks the counting formula against the non-emptiness criterion
-    and raises InternalInconsistency when they disagree.  The residue b is
-    found once: the space is non-empty exactly when `witness` returns a
-    class.  The per-component guarantees are masked with non-emptiness (no
-    component, no claim) and apply to every component exactly when the
-    count is 1.
+    n and t are validated here, before the first report; each d when it is
+    reached.  The parts that depend only on (family, n, t) are computed
+    once: m, whether t divides 2m, and the two threshold bounds.
+
+    A cell where t does not divide both 2m and 2d is empty and is answered
+    without a scan: t does not divide gcd(2d, 2m), so `decompose` raises
+    DivisibilityViolation and the count is 0, and no residue b exists (see
+    `nonempty_residue`).  Every other cell finds the residue b once through
+    `witness` (the space is non-empty exactly when it returns a class) and
+    cross-checks the counting formula against it, raising
+    InternalInconsistency when they disagree.  The per-component guarantees
+    are masked with non-emptiness (no component, no claim) and apply to
+    every component exactly when the count is 1.
     """
+    _validate(ModuliQuery(family, n, 1, t))
+    return _reports(family, n, t, ds)
+
+
+def _reports(family: Family, n: int, t: int,
+             ds: Iterable[int]) -> Iterator[ModuliReport]:
+    m = family.m(n)
+    t_divides_2m = (2 * m) % t == 0
+    den, bpf_num, va_num = _bounds(family, n, t)
+    fujita = n + 2
+    for d in ds:
+        if d < 1:
+            _validate(ModuliQuery(family, n, d, t))
+        if not t_divides_2m or (2 * d) % t:
+            # empty: no witness, count 0 and every flag False
+            yield ModuliReport(family, n, d, t, False, 0, None, False, False,
+                               fujita, False, False)
+            continue
+        q = ModuliQuery(family, n, d, t)
+        w = witness(q)
+        ne = w is not None
+        detail = component_count_detail(q)
+        if (detail.count >= 1) != ne:
+            raise InternalInconsistency(
+                "non_empty = %r but component count = %d at %r"
+                % (ne, detail.count, q))
+        yield ModuliReport(family, n, d, t, ne, detail.count, w,
+                           ne and d * den >= bpf_num,
+                           ne and d * den >= va_num,
+                           fujita, detail.count == 1, detail.halved)
+
+
+def report(q: ModuliQuery) -> ModuliReport:
+    """Full answer for one query: the one-cell case of `reports`."""
+    # checks d before t, so a query with several bad values names the first
     _validate(q)
-    w = witness(q)
-    ne = w is not None
-    detail = component_count_detail(q)
-    if (detail.count >= 1) != ne:
-        raise InternalInconsistency(
-            "non_empty = %r but component count = %d at %r"
-            % (ne, detail.count, q))
-    th = thresholds(q)
-    notes = list(th.notes)
-    if detail.halved:
-        notes.append("component count used exact halving (rho = 0 case)")
-    return ModuliReport(
-        family=q.family,
-        n=q.n,
-        d=q.d,
-        t=q.t,
-        non_empty=ne,
-        components=detail.count,
-        witness=w,
-        bpf_some_component=th.bpf and ne,
-        va_some_component=th.very_ample and ne,
-        fujita_power=th.fujita_power,
-        applies_to_all_components=detail.count == 1,
-        threshold_notes=tuple(notes),
-    )
+    return next(reports(q.family, q.n, q.t, (q.d,)))

@@ -17,7 +17,7 @@ from hkmoduli.lattice import Family, LatticeClass, divisibility, \
     gram_divisibility, rank3_model
 from hkmoduli.moduli import ModuliQuery, component_count, is_nonempty, \
     prime_power_connected, thresholds, witness
-from hkmoduli.oracle import enumerate_witnesses, verify_witness
+from hkmoduli.oracle import enumerate_witnesses, orbit_count, verify_witness
 
 K3 = Family.K3HILB
 KUM = Family.KUMMER
@@ -305,3 +305,22 @@ def test_criterion_9_verification_boundary_documented():
              "README states the verification boundary (threshold-level "
              "guarantees on some connected component; geometric facts are "
              "used as statements, not re-verified)")
+
+
+def test_criterion_10_component_count_matches_orbit_count():
+    # The value of the count, not just its sign, against a plain count of
+    # the residues b mod t up to sign.  For K3^[n] type Eichler's criterion
+    # makes the two equal (Gritsenko-Hulek-Sankaran 2009); the Kummer-type
+    # monodromy group is smaller (Mongardi 2016), so for `kum` the match is
+    # empirical and this grid is the evidence.
+    offenders = []
+    queries = 0
+    for q in _query_grid(10):
+        count, orbits = component_count(q), orbit_count(q)
+        if count != orbits:
+            offenders.append((q, count, orbits))
+        queries += 1
+    _verdict(10, not offenders,
+             "%d queries, %d component/orbit count splits%s"
+             % (queries, len(offenders),
+                "; first: %r" % offenders[:3] if offenders else ""))

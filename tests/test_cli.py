@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hkmoduli import cli
+from hkmoduli import cli, moduli
 from hkmoduli.moduli import InternalInconsistency
 
 
@@ -135,6 +135,31 @@ def test_table_json_sorted(capsys):
     assert [(r["t"], r["d"]) for r in arr] == sorted(
         (r["t"], r["d"]) for r in arr)
     assert json.dumps(arr, indent=2) + "\n" == out
+
+
+def test_table_renders_no_notes(capsys, monkeypatch):
+    # csv and the human table print no note, so none may be rendered
+    def rendered(*args):
+        raise AssertionError("a threshold note was rendered")
+
+    monkeypatch.setattr(moduli, "_ratio", rendered)
+    monkeypatch.setattr(moduli.ThresholdDecision, "notes", property(rendered))
+    for fmt in ("csv", "human"):
+        code, out, err = run(capsys, "table", "--family", "kum", "--n", "5",
+                             "--d-range", "1..40", "--t", "1,2,3,4,6,12",
+                             "--format", fmt)
+        assert code == 0 and err == "", fmt
+        assert len(out.splitlines()) == 2 + 40 * 6 - (fmt == "csv"), fmt
+
+
+def test_table_input_error_prints_nothing(capsys):
+    # rows stream, but an input error still exits 1 before the header
+    for fmt in ("csv", "json", "human"):
+        code, out, err = run(capsys, "table", "--family", "k3n", "--n", "1",
+                             "--d-range", "1..5", "--t", "1,2",
+                             "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert "n must be >= 2" in err, fmt
 
 
 def test_table_human(capsys):

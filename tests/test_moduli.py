@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkmoduli import moduli
-from hkmoduli.arith import divisors
+from hkmoduli.arith import divisors, qr_of_ratio
 from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
 from hkmoduli.moduli import (
     Decomposition,
@@ -23,6 +23,7 @@ from hkmoduli.moduli import (
     nonempty_residue,
     prime_power_connected,
     report,
+    reports,
     thresholds,
     witness,
 )
@@ -95,9 +96,9 @@ def test_count_detail_branches_and_halving():
     assert (det.count, det.branch, det.halved) == (2, "i", False)
     det = component_count_detail(ModuliQuery(K3, 2, 3, 2))
     assert (det.count, det.branch) == (1, "iv")
-    assert det.matched == ("iv",)
+    assert det.branch == "iv"
     det = component_count_detail(ModuliQuery(K3, 2, 1, 2))
-    assert det == (0, None, False, det.decomposition, ())
+    assert det == (0, None, False, det.decomposition)
 
 
 def test_t1_spaces_are_connected():
@@ -432,15 +433,45 @@ def test_thresholds_match_fraction_reference_at_large_t(q):
     assert _threshold_fields(thresholds(q)) == _fraction_thresholds(*q)
 
 
+def _stated_cases(dec):
+    # The four counting conditions exactly as the module docstring states
+    # them, case (iii) included, each evaluated on its own.
+    d1, n1, g1, t1, w = dec.d1, dec.n1, dec.g1, dec.t1, dec.w
+    holds = []
+    if (g1 % 2 == 0 and gcd(d1, t1) == 1 and gcd(n1, t1) == 1
+            and qr_of_ratio(-d1, n1, t1)):
+        holds.append("i")
+    if (g1 % 2 and t1 % 2 and d1 % 2 and gcd(d1, t1) == 1
+            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
+        holds.append("ii")
+    if (g1 % 2 and t1 % 2 and w % 2 and d1 % 2 == 0 and gcd(d1, t1) == 1
+            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, 4 * n1, t1)):
+        holds.append("iii")
+    if (g1 % 2 and t1 % 2 == 0 and gcd(d1, t1) == 1
+            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
+        holds.append("iv")
+    return holds
+
+
 def test_counting_cases_are_disjoint():
     # (i) needs g1 even and (ii)-(iv) g1 odd; (iv) needs t1 even and
-    # (ii)-(iii) t1 odd; (ii) needs d1 odd and (iii) d1 even
+    # (ii)-(iii) t1 odd; (ii) needs d1 odd and (iii) d1 even.  Case (iii)
+    # never holds (g1, t1, w odd force g1 even), so the code leaves it out.
+    decomposed = 0
     for family in (K3, KUM):
         for n in range(2, 41):
             for t in divisors(2 * family.m(n)):
                 for d in range(1, 101):
                     q = ModuliQuery(family, n, d, t)
-                    assert len(component_count_detail(q).matched) <= 1, q
+                    branch = component_count_detail(q).branch
+                    if (2 * d) % t:
+                        assert branch is None, q
+                        continue
+                    decomposed += 1
+                    holds = _stated_cases(decompose(q))
+                    assert len(holds) <= 1 and "iii" not in holds, q
+                    assert holds == ([] if branch is None else [branch]), q
+    assert decomposed
 
 
 # ------------------------------------------------- prime power connectivity
@@ -498,7 +529,7 @@ def test_report_internal_inconsistency_guard(monkeypatch):
     from hkmoduli.moduli import ComponentCountDetail
 
     def broken(q):
-        return ComponentCountDetail(0, None, False, None, ())
+        return ComponentCountDetail(0, None, False, None)
 
     monkeypatch.setattr(moduli, "component_count_detail", broken)
     with pytest.raises(InternalInconsistency):
@@ -513,3 +544,90 @@ def test_report_never_inconsistent(family, n, d, t):
     rep = report(ModuliQuery(family, n, d, t))
     assert rep.non_empty == (rep.components >= 1)
     assert (rep.witness is not None) == rep.non_empty
+
+
+# ------------------------------------------------------------------ sweep
+
+def _report_reference(q):
+    # The per-cell composition `report` used before the sweep, kept as the
+    # reference: witness, count detail and thresholds, notes included, for
+    # every cell, with no shortcut for t not dividing 2m or 2d.
+    w = witness(q)
+    ne = w is not None
+    detail = component_count_detail(q)
+    assert (detail.count >= 1) == ne, q
+    th = thresholds(q)
+    notes = th.notes
+    if detail.halved:
+        notes += ("component count used exact halving (rho = 0 case)",)
+    return (q.family, q.n, q.d, q.t, ne, detail.count, w, th.bpf and ne,
+            th.very_ample and ne, th.fujita_power, detail.count == 1, notes)
+
+
+def _sweep_rows(family, n, t, ds):
+    return [tuple(rep[:-1]) + (rep.threshold_notes,)
+            for rep in reports(family, n, t, ds)]
+
+
+def test_sweep_matches_per_cell_reference():
+    on_bound = 0
+    for family in (K3, KUM):
+        for n in range(2, 31):
+            two_m = 2 * family.m(n)
+            ts = divisors(two_m)
+            ts.append(next(t for t in range(3, two_m + 3) if two_m % t))
+            for t in ts:
+                ds = set(range(1, 31))
+                for bound in _bounds(family, n, t):
+                    ds.update(range(max(1, math.floor(bound) - 2),
+                                    math.ceil(bound) + 3))
+                ds = sorted(ds)
+                expected = [_report_reference(ModuliQuery(family, n, d, t))
+                            for d in ds]
+                assert _sweep_rows(family, n, t, ds) == expected, \
+                    (family, n, t)
+                assert report(ModuliQuery(family, n, ds[-1], t)) \
+                    == reports(family, n, t, ds[-1:]).__next__()
+                bounds = [b for b in _bounds(family, n, t)
+                          if t > 1 and b.denominator == 1]
+                on_bound += sum(row[4] and row[2] in bounds
+                                for row in expected)
+    # a non-empty cell sits exactly on an integral bound, d * 2(t-1) == num
+    assert on_bound
+
+
+@st.composite
+def sweep_queries(draw):
+    family = draw(families)
+    n = draw(st.integers(min_value=2, max_value=10 ** 4))
+    m = family.m(n)
+    t = draw(st.one_of(st.sampled_from(divisors(2 * m)),
+                       st.integers(min_value=1, max_value=10 ** 4)))
+    ds = {max(1, math.ceil(bound) + draw(st.integers(-2, 2)))
+          for bound in _bounds(family, n, t)}
+    # d built non-empty when t | 2m: d = -b^2*m (mod t^2) with gcd(b, t) = 1
+    b = draw(st.integers(min_value=1, max_value=t))
+    if gcd(b, t) == 1:
+        d = (-b * b * m) % (t * t)
+        ds.add(d + t * t * draw(st.integers(0 if d else 1, 3)))
+    ds.add(draw(st.integers(min_value=1, max_value=4 * t * t)))
+    return family, n, t, sorted(ds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_queries())
+def test_sweep_matches_per_cell_reference_at_large_n_and_t(sweep):
+    family, n, t, ds = sweep
+    assert _sweep_rows(family, n, t, ds) == [
+        _report_reference(ModuliQuery(family, n, d, t)) for d in ds]
+
+
+def test_sweep_validates_before_the_first_report():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        reports(K3, 1, 2, range(1, 5))
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        reports(KUM, 3, 0, range(1, 5))
+    sweep = reports(K3, 2, 2, [3, 0])
+    assert next(sweep).non_empty
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        next(sweep)

@@ -11,6 +11,7 @@ from hkmoduli.oracle import (
     SearchBounds,
     default_bounds,
     enumerate_witnesses,
+    orbit_count,
     verify_witness,
 )
 
@@ -23,6 +24,17 @@ def test_default_bounds():
     assert default_bounds(q) == SearchBounds(2, 4, 3 + 16 * 3)
     q = ModuliQuery(KUM, 5, 7, 1)
     assert default_bounds(q) == SearchBounds(1, 1, 13)
+
+
+def test_orbit_count_pins():
+    # roots b = 1, 4 mod 15 and b = 1, 2, 4 mod 9, each up to sign
+    assert orbit_count(ModuliQuery(K3, 16, 210, 15)) == 2
+    assert orbit_count(ModuliQuery(K3, 28, 54, 9)) == 3
+    # t = 2: the one root b = 1 is not halved
+    assert orbit_count(ModuliQuery(K3, 2, 3, 2)) == 1
+    assert orbit_count(ModuliQuery(K3, 2, 2, 2)) == 0
+    # t = 3 does not divide 2m = 2, although b = 1 solves b^2*m = -d mod 9
+    assert orbit_count(ModuliQuery(K3, 2, 8, 3)) == 0
 
 
 def test_enumerate_contains_known_classes():
