@@ -39,7 +39,6 @@ _EXPORTS = {
     "LatticeClass": "lattice",
     "bbf_square": "lattice",
     "divisibility": "lattice",
-    "embed_rank3": "lattice",
     "full_model": "lattice",
     "is_primitive": "lattice",
     "rank3_model": "lattice",

@@ -6,22 +6,17 @@ congruence y^2 = x (mod m) has a solution, with no coprimality requirement.
 In particular 0 is a residue for every modulus and non-units may be residues
 (e.g. 4 mod 8).  This is the convention the congruence conditions in the
 component counting formulas need.
-
-gcd follows math.gcd: nonnegative, gcd(0, x) = |x|, gcd(0, 0) = 0.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
 
 __all__ = [
     "NotInvertible",
     "divisors",
     "euler_phi",
     "factorize",
-    "gcd",
-    "is_prime",
     "is_quadratic_residue",
     "mod_inverse",
     "qr_of_ratio",
@@ -60,23 +55,6 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
-
-
-def is_prime(m: int) -> bool:
-    """Trial-division primality test (small inputs only)."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    p = 3
-    r = isqrt(m)
-    while p <= r:
-        if m % p == 0:
-            return False
-        p += 2
-    return True
 
 
 def divisors(m: int) -> list[int]:

@@ -33,12 +33,11 @@ import os
 import sys
 from typing import Optional, Sequence
 
-# json and the bundles module are imported in the branches that use them,
-# so a one-shot call does not pay for what it does not print.
+# json, the bundles module and the oracle are imported in the branches that
+# use them, so a one-shot call does not pay for what it does not run.
 from .lattice import Family
 from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
-                     Witness, report, reports)
-from .oracle import SearchBounds, default_bounds, enumerate_witnesses, verify_witness
+                     Witness, report, reports, witness)
 
 __all__ = ["main"]
 
@@ -101,7 +100,9 @@ def _parse_t_list(text: str) -> list[int]:
     return out
 
 
-def _oracle_bounds(q: ModuliQuery) -> SearchBounds:
+def _run_oracle(q: ModuliQuery, w: Optional[Witness]) -> dict:
+    from .oracle import (SearchBounds, default_bounds, enumerate_witnesses,
+                         verify_witness)
     bounds = default_bounds(q)
     raw = os.environ.get("HK_ORACLE_BOUNDS")
     if raw:
@@ -113,11 +114,6 @@ def _oracle_bounds(q: ModuliQuery) -> SearchBounds:
             raise ValueError(
                 "HK_ORACLE_BOUNDS must be MAX_A,MAX_B,MAX_E, got %r" % (raw,))
         bounds = SearchBounds(*(max(a, b) for a, b in zip(bounds, parts)))
-    return bounds
-
-
-def _run_oracle(q: ModuliQuery, rep: ModuliReport) -> dict:
-    bounds = _oracle_bounds(q)
     # the oracle tries only the multiples of t up to max_a
     candidates = (bounds.max_a // q.t) * (2 * bounds.max_b + 1)
     if candidates > ORACLE_MAX_CANDIDATES:
@@ -126,8 +122,8 @@ def _run_oracle(q: ModuliQuery, rep: ModuliReport) -> dict:
             "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
             % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
     hits = enumerate_witnesses(q, bounds, stop_after=1)
-    agrees = bool(hits) == rep.non_empty
-    if rep.witness is not None and not verify_witness(rep.witness, q):
+    agrees = bool(hits) == (w is not None)
+    if w is not None and not verify_witness(w, q):
         agrees = False
     if not agrees:
         raise InternalInconsistency(
@@ -193,7 +189,7 @@ def _csv_line(rep: ModuliReport) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     rep = report(q)
-    oracle = _run_oracle(q, rep) if args.oracle else None
+    oracle = _run_oracle(q, rep.witness) if args.oracle else None
     if args.format == "json":
         obj = _report_dict(rep)
         if oracle is not None:
@@ -258,22 +254,22 @@ def _cmd_kva(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
-    rep = report(q)
-    oracle = _run_oracle(q, rep) if args.oracle else None
+    w = witness(q)
+    oracle = _run_oracle(q, w) if args.oracle else None
     if args.format == "json":
         obj = {
-            "family": rep.family.value, "n": rep.n, "d": rep.d, "t": rep.t,
-            "non_empty": rep.non_empty,
-            "witness": list(rep.witness) if rep.witness else None,
+            "family": q.family.value, "n": q.n, "d": q.d, "t": q.t,
+            "non_empty": w is not None,
+            "witness": None if w is None else list(w),
         }
         if oracle is not None:
             obj["oracle"] = oracle
         _emit_json(obj)
     else:
-        if rep.witness is None:
+        if w is None:
             print("witness: none (moduli space is empty)")
         else:
-            print("witness: a=%d b=%d e=%d" % rep.witness)
+            print("witness: a=%d b=%d e=%d" % w)
         if oracle is not None:
             print("oracle: agrees")
     return 0
@@ -287,6 +283,15 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
                    help="half the complex dimension, n >= 2")
 
 
+def _add_one_query_args(p: argparse.ArgumentParser) -> None:
+    _add_query_args(p)
+    p.add_argument("--d", required=True, type=int, help="half the BBF square")
+    p.add_argument("--t", required=True, type=int, help="divisibility")
+    p.add_argument("--format", choices=["human", "json"], default="human")
+    p.add_argument("--oracle", action="store_true",
+                   help="cross-check with brute-force lattice search")
+
+
 # built on first use, not at import; costs several times a `check` query
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -295,13 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "manifolds: exact arithmetic answers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[], help="full report for one query")
-    _add_query_args(p)
-    p.add_argument("--d", required=True, type=int, help="half the BBF square")
-    p.add_argument("--t", required=True, type=int, help="divisibility")
-    p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with brute-force lattice search")
+    p = sub.add_parser("check", help="full report for one query")
+    _add_one_query_args(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("table", help="sweep d and t at fixed family and n")
@@ -323,12 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kva)
 
     p = sub.add_parser("witness", help="polarization class for one query")
-    _add_query_args(p)
-    p.add_argument("--d", required=True, type=int, help="half the BBF square")
-    p.add_argument("--t", required=True, type=int, help="divisibility")
-    p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with brute-force lattice search")
+    _add_one_query_args(p)
     p.set_defaults(func=_cmd_witness)
     return parser
 

@@ -48,8 +48,6 @@ __all__ = [
     "direct_sum",
     "divisibility",
     "e8_minus",
-    "embed_full",
-    "embed_rank3",
     "full_model",
     "gram_divisibility",
     "hyperbolic_plane",
@@ -73,9 +71,6 @@ class Family(Enum):
         if n < 2:
             raise ValueError("n must be >= 2, got %r" % (n,))
         return n - 1 if self is Family.K3HILB else n + 1
-
-    def delta_square(self, n: int) -> int:
-        return -2 * self.m(n)
 
 
 class LatticeClass(NamedTuple):
@@ -165,9 +160,6 @@ class GramLattice(_GramFields):
         return sum(ui * sum(gij * vj for gij, vj in zip(row, v))
                    for ui, row in zip(u, self.gram))
 
-    def square(self, v: Sequence[int]) -> int:
-        return self.pair(v, v)
-
 
 def gram_divisibility(lat: GramLattice, v: Sequence[int]) -> int:
     """gcd of the pairings of v with a basis; v must be nonzero.
@@ -223,30 +215,19 @@ def direct_sum(*parts: GramLattice) -> GramLattice:
 
 def rank3_model(family: Family, n: int) -> GramLattice:
     """U + <-2m> with basis (f, g, delta): the summand containing every
-    class this package handles."""
-    return GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, family.delta_square(n))))
-
-
-def embed_rank3(c: LatticeClass) -> tuple[int, int, int]:
-    """Coordinates of a*(f + e*g) + b*delta in the (f, g, delta) basis."""
-    return (c.a, c.a * c.e, c.b)
+    class this package handles, a*(f + e*g) + b*delta at (a, a*e, b)."""
+    return GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2 * family.m(n))))
 
 
 def full_model(family: Family, n: int) -> GramLattice:
-    """The full BBF lattice: rank 23 for K3HILB, rank 7 for KUMMER."""
+    """The full BBF lattice: rank 23 for K3HILB, rank 7 for KUMMER.
+
+    U comes first and delta last, so a*(f + e*g) + b*delta is (a, a*e, 0,
+    ..., 0, b)."""
     u = hyperbolic_plane()
-    span = GramLattice(((family.delta_square(n),),))
+    span = GramLattice(((-2 * family.m(n),),))
     if family is Family.K3HILB:
         e8 = e8_minus()
         return direct_sum(u, u, u, e8, e8, span)
     return direct_sum(u, u, u, span)
 
-
-def embed_full(c: LatticeClass) -> tuple[int, ...]:
-    """Coordinates in the full model: (a, a*e) in the first U, b on delta."""
-    rank = 23 if c.family is Family.K3HILB else 7
-    v = [0] * rank
-    v[0] = c.a
-    v[1] = c.a * c.e
-    v[-1] = c.b
-    return tuple(v)

@@ -321,7 +321,6 @@ def _two_power_value(base: int, exponent: int, q: ModuliQuery) -> tuple[int, boo
 
 def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
     """Component count plus which case fired and whether halving was used."""
-    _validate(q)
     try:
         dec = decompose(q)
     except DivisibilityViolation:

@@ -11,7 +11,6 @@ from hkmoduli.arith import (
     divisors,
     euler_phi,
     factorize,
-    is_prime,
     is_quadratic_residue,
     mod_inverse,
     qr_of_ratio,
@@ -46,16 +45,10 @@ def test_factorize_reconstructs_and_uses_primes(m):
     prod = 1
     for p, k in fac:
         assert k >= 1
-        assert is_prime(p)
+        assert p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
         prod *= p ** k
     assert prod == m
     assert [p for p, _ in fac] == sorted({p for p, _ in fac})
-
-
-def test_is_prime_small():
-    primes = [p for p in range(60) if is_prime(p)]
-    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                      47, 53, 59]
 
 
 def test_divisors():

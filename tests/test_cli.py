@@ -313,7 +313,7 @@ def _no_search(*args, **kwargs):
 
 def test_oracle_refuses_large_t(capsys, monkeypatch):
     # default bounds at t = 3200: one multiple of t times (2 * 3200^2 + 1)
-    monkeypatch.setattr(cli, "enumerate_witnesses", _no_search)
+    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
     code, out, err = run(capsys, "check", "--family", "k3n", "--n", "3201",
                          "--d", "1", "--t", "3200", "--oracle")
     assert code == 1
@@ -325,7 +325,7 @@ def test_oracle_refuses_large_t(capsys, monkeypatch):
 
 
 def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "enumerate_witnesses", _no_search)
+    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
     monkeypatch.setenv("HK_ORACLE_BOUNDS", "1000,100000,1")
     code, out, err = run(capsys, "check", "--family", "k3n", "--n", "2",
                          "--d", "3", "--t", "2", "--oracle")
@@ -340,7 +340,7 @@ def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
         searched.append(bounds)
         return ["hit"]
 
-    monkeypatch.setattr(cli, "enumerate_witnesses", search)
+    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", search)
     # 20 // 2 = 10 multiples of t = 2, times 2 * max_b + 1, just under the cap
     max_b = (cli.ORACLE_MAX_CANDIDATES // 10 - 1) // 2
     monkeypatch.setenv("HK_ORACLE_BOUNDS", "20,%d,1" % max_b)
@@ -378,3 +378,12 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "witness: a=2 b=1 e=1\n"
+    # a fresh process, so --oracle imports the oracle module itself
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkmoduli", "check", "--family", "k3n",
+         "--n", "2", "--d", "3", "--t", "2", "--format", "json", "--oracle"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["oracle"] == {
+        "bounds": {"max_a": 2, "max_b": 4, "max_e": 51},
+        "witness_found": True, "agrees": True}

@@ -16,8 +16,6 @@ from hkmoduli.lattice import (
     direct_sum,
     divisibility,
     e8_minus,
-    embed_full,
-    embed_rank3,
     full_model,
     gram_divisibility,
     hyperbolic_plane,
@@ -57,8 +55,9 @@ def test_family_m():
     assert Family.K3HILB.m(10) == 9
     assert Family.KUMMER.m(2) == 3
     assert Family.KUMMER.m(10) == 11
-    assert Family.K3HILB.delta_square(5) == -8
-    assert Family.KUMMER.delta_square(5) == -12
+    # delta^2 = -2m is the last diagonal entry of the rank 3 model
+    assert rank3_model(Family.K3HILB, 5).gram[2][2] == -8
+    assert rank3_model(Family.KUMMER, 5).gram[2][2] == -12
     with pytest.raises(ValueError):
         Family.K3HILB.m(1)
 
@@ -123,8 +122,8 @@ def test_hyperbolic_plane():
     u = hyperbolic_plane()
     assert u.rank == 2
     assert det(u.gram) == -1
-    assert u.square((1, 1)) == 2
-    assert u.square((1, 0)) == 0
+    assert u.pair((1, 1), (1, 1)) == 2
+    assert u.pair((1, 0), (1, 0)) == 0
 
 
 def test_e8_minus_shape():
@@ -136,7 +135,7 @@ def test_e8_minus_shape():
     for k in range(1, 9):
         minor = det([row[:k] for row in e8.gram[:k]])
         assert (-1) ** k * minor > 0, k
-    assert all(e8.square(v) % 2 == 0
+    assert all(e8.pair(v, v) % 2 == 0
                for v in [(1, 0, 0, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 1, 0, 1)])
 
 
@@ -175,8 +174,8 @@ def test_closed_forms_match_rank3_gram(family, n, a, b, e):
         return
     c = LatticeClass(family, n, a, b, e)
     model = rank3_model(family, n)
-    v = embed_rank3(c)
-    assert model.square(v) == bbf_square(c)
+    v = (a, a * e, b)
+    assert model.pair(v, v) == bbf_square(c)
     assert gram_divisibility(model, v) == divisibility(c)
 
 
@@ -187,9 +186,10 @@ def test_full_rank_models_agree_with_rank3(family, n, a, b, e):
         return
     c = LatticeClass(family, n, a, b, e)
     full = full_model(family, n)
-    v = embed_full(c)
-    assert len(v) == full.rank
-    assert full.square(v) == bbf_square(c)
+    # (a, a*e) in the first U, b on delta (the last basis vector)
+    v = [0] * full.rank
+    v[0], v[1], v[-1] = a, a * e, b
+    assert full.pair(v, v) == bbf_square(c)
     assert gram_divisibility(full, v) == divisibility(c)
 
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,7 +29,7 @@ def _modules_loaded_by(statement):
 # ------------------------------------------------------------ import hygiene
 
 HEAVY = ("logging", "dataclasses", "fractions", "json", "csv",
-         "hkmoduli.bundles")
+         "hkmoduli.bundles", "hkmoduli.oracle")
 
 
 def test_cli_import_leaves_unused_modules_out():
@@ -67,6 +69,21 @@ def test_star_import_binds_every_exported_name():
     exec("from hkmoduli import *", namespace)
     for name in hkmoduli.__all__:
         assert namespace[name] is getattr(hkmoduli, name), name
+
+
+def test_submodule_exports_are_defined_in_their_submodule():
+    # a name deleted from a submodule but left in its __all__ fails the star
+    # import; a name the submodule only re-exports fails the __module__ check
+    subs = [info.name for info in pkgutil.iter_modules(hkmoduli.__path__)
+            if not info.name.startswith("_")]
+    assert {"arith", "lattice", "moduli", "oracle", "cli"} <= set(subs)
+    for sub in subs:
+        module = importlib.import_module("hkmoduli." + sub)
+        namespace = {}
+        exec("from hkmoduli.%s import *" % sub, namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name), (sub, name)
+            assert namespace[name].__module__ == module.__name__, (sub, name)
 
 
 def test_submodules_resolve_as_attributes():
