@@ -31,7 +31,8 @@ import functools
 import itertools
 import os
 import sys
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 # json, the bundles module and the oracle are imported in the branches that
 # use them, so a one-shot call does not pay for what it does not run.
@@ -55,11 +56,16 @@ _CSV_HEADER = [column for field in _CSV_FIELDS
                               if field == "witness" else [field])]
 # Every cell but the family and the witness is an int, or a bool that %d
 # prints as 0/1, so no cell needs quoting and a row is one format string.
-_WITNESS_AT = _CSV_FIELDS.index("witness")
-_CSV_LINE = ",".join("%s" if field in ("family", "witness") else "%d"
-                     for field in _CSV_FIELDS) + "\n"
+_CELL_FORMATS = tuple("%s" if field in ("family", "witness") else "%d"
+                      for field in _CSV_FIELDS)
 _WITNESS_CELLS = ",".join("%d" for _ in Witness._fields)
 _NO_WITNESS = "," * (len(Witness._fields) - 1)
+# The cells that are the same in every row of one t's sweep are written into
+# that sweep's row formats once; a row fills in only the others.
+_PER_T = ("family", "n", "t", "fujita_power")
+_ROW_FIELDS = tuple(field for field in _CSV_FIELDS if field not in _PER_T)
+_row_cells = itemgetter(*map(_CSV_FIELDS.index, _ROW_FIELDS))
+_ROW_WITNESS_AT = _ROW_FIELDS.index("witness")
 
 # the values of bundles.SurfaceKind, written out so that building the parser
 # does not import the bundles module (a test keeps the two equal)
@@ -151,6 +157,18 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _emit_json_array(objs: Iterator[dict]) -> None:
+    # the bytes of _emit_json(list(objs)) for a non-empty objs, written one
+    # element at a time; json escapes the newlines inside strings, so each
+    # newline left in an element's text is indentation
+    import json
+    items = (json.dumps(obj, indent=2).replace("\n", "\n  ")
+             for obj in objs)
+    sys.stdout.write("[\n  " + next(items))
+    sys.stdout.writelines(",\n  " + item for item in items)
+    sys.stdout.write("\n]\n")
+
+
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -178,12 +196,39 @@ def _print_report_human(rep: ModuliReport, oracle: Optional[dict]) -> None:
                  oracle["bounds"]["max_e"]))
 
 
-def _csv_line(rep: ModuliReport) -> str:
-    cells = list(rep[:-1])
-    cells[0] = rep.family.value
-    w = rep.witness
-    cells[_WITNESS_AT] = _NO_WITNESS if w is None else _WITNESS_CELLS % w
-    return _CSV_LINE % tuple(cells)
+def _row_format(rep: ModuliReport, open_fields: Sequence[str]) -> str:
+    # the CSV line as a format string: a placeholder for each field in
+    # open_fields, rep's cell for every other field
+    cells = []
+    for field, fmt, value in zip(_CSV_FIELDS, _CELL_FORMATS, rep):
+        if field in open_fields:
+            cells.append(fmt)
+        elif field == "family":
+            cells.append(value.value)
+        elif field == "witness":
+            cells.append(_NO_WITNESS if value is None
+                         else _WITNESS_CELLS % value)
+        else:
+            cells.append(fmt % value)
+    return ",".join(cells) + "\n"
+
+
+def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
+    # The rows of one t's sweep.  An empty cell has no witness, count 0 and
+    # every flag False, so its row depends on d alone.  Each format is made
+    # from the first report that needs it.
+    full = empty = None
+    for rep in sweep:
+        if rep.non_empty:
+            if full is None:
+                full = _row_format(rep, _ROW_FIELDS)
+            cells = list(_row_cells(rep))
+            cells[_ROW_WITNESS_AT] = _WITNESS_CELLS % cells[_ROW_WITNESS_AT]
+            yield full % tuple(cells)
+        else:
+            if empty is None:
+                empty = _row_format(rep, ("d",))
+            yield empty % rep.d
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -204,14 +249,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
     family = Family(args.family)
     # `reports` validates n and t when called, so an input error exits 1
     # before the first byte; the reports themselves are made as they print
-    reps = itertools.chain.from_iterable(
-        [reports(family, args.n, t, args.d_range)
-         for t in sorted(set(args.t))])
+    sweeps = [reports(family, args.n, t, args.d_range)
+              for t in sorted(set(args.t))]
+    reps = itertools.chain.from_iterable(sweeps)
     if args.format == "json":
-        _emit_json([_report_dict(r) for r in reps])
+        _emit_json_array(map(_report_dict, reps))
     elif args.format == "csv":
         sys.stdout.write(",".join(_CSV_HEADER) + "\n")
-        sys.stdout.writelines(map(_csv_line, reps))
+        for sweep in sweeps:
+            sys.stdout.writelines(_csv_lines(sweep))
     else:
         print("family=%s n=%d" % (family.value, args.n))
         print("%4s %5s %6s %5s %8s %4s %4s %4s" %

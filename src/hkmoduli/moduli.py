@@ -265,29 +265,24 @@ def decompose(q: ModuliQuery) -> Decomposition:
     Raises DivisibilityViolation when t does not divide gcd(2d, 2m).
     """
     _validate(q)
-    m = q.family.m(q.n)
-    big = gcd(2 * q.d, 2 * m)
-    if big % q.t:
+    return _decompose(q.family.m(q.n), q.d, q.t)
+
+
+def _decompose(m: int, d: int, t: int) -> Decomposition:
+    big = gcd(2 * d, 2 * m)
+    if big % t:
         raise DivisibilityViolation(
-            "t = %d does not divide gcd(2d, 2m) = %d" % (q.t, big))
-    g = big // q.t
-    w = gcd(g, q.t)
-    t1 = q.t // w
+            "t = %d does not divide gcd(2d, 2m) = %d" % (t, big))
+    g = big // t
+    w = gcd(g, t)
+    t1 = t // w
     w_plus = 1
     for p, k in factorize(w):
         if t1 % p == 0:
             w_plus *= p ** k
-    return Decomposition(
-        big_gcd=big,
-        d1=2 * q.d // big,
-        n1=2 * m // big,
-        g=g,
-        w=w,
-        g1=g // w,
-        t1=t1,
-        w_plus=w_plus,
-        w_minus=w // w_plus,
-    )
+    # positional: keywords would double the cost of building the tuple
+    return Decomposition(big, 2 * d // big, 2 * m // big, g, w, g // w, t1,
+                         w_plus, w // w_plus)
 
 
 def _matched_case(dec: Decomposition) -> Optional[str]:
@@ -308,14 +303,16 @@ def _matched_case(dec: Decomposition) -> Optional[str]:
     return None
 
 
-def _two_power_value(base: int, exponent: int, q: ModuliQuery) -> tuple[int, bool]:
+def _two_power_value(base: int, exponent: int,
+                     where: object) -> tuple[int, bool]:
     # base * 2^exponent with exact division when exponent = -1 (the only
-    # negative value rho can produce).  See the module docstring.
+    # negative value rho can produce).  See the module docstring.  `where`
+    # only names the failing input in the error.
     if exponent >= 0:
         return base << exponent, False
     if base % 2:
         raise InternalInconsistency(
-            "odd branch value %d cannot be halved at %r" % (base, q))
+            "odd branch value %d cannot be halved at %r" % (base, where))
     return base // 2, True
 
 
@@ -325,16 +322,22 @@ def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
         dec = decompose(q)
     except DivisibilityViolation:
         return ComponentCountDetail(0, None, False, None)
+    count, branch, halved = _count_detail(dec, q.t)
+    return ComponentCountDetail(count, branch, halved, dec)
+
+
+def _count_detail(dec: Decomposition,
+                  t: int) -> tuple[int, Optional[str], bool]:
+    # (count, branch, halved) of the decomposition at divisibility t
     branch = _matched_case(dec)
     if branch is None:
-        return ComponentCountDetail(0, None, False, dec)
-    if q.t <= 2:
-        count, halved = 1, False
-    else:
-        base = dec.w_plus * euler_phi(dec.w_minus)
-        r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
-        count, halved = _two_power_value(base, r - 1, q)
-    return ComponentCountDetail(count, branch, halved, dec)
+        return 0, None, False
+    if t <= 2:
+        return 1, branch, False
+    base = dec.w_plus * euler_phi(dec.w_minus)
+    r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
+    count, halved = _two_power_value(base, r - 1, (t, dec))
+    return count, branch, halved
 
 
 def component_count(q: ModuliQuery) -> int:
@@ -353,13 +356,16 @@ def nonempty_residue(q: ModuliQuery) -> Optional[int]:
     not divide 2d.
     """
     _validate(q)
-    m = q.family.m(q.n)
-    if (2 * m) % q.t or (2 * q.d) % q.t:
+    return _residue(q.family.m(q.n), q.d, q.t)
+
+
+def _residue(m: int, d: int, t: int) -> Optional[int]:
+    if (2 * m) % t or (2 * d) % t:
         return None
-    tsq = q.t * q.t
-    target = (-q.d) % tsq
-    for b in range(1, q.t + 1):
-        if gcd(b, q.t) == 1 and (b * b * m) % tsq == target:
+    tsq = t * t
+    target = (-d) % tsq
+    for b in range(1, t + 1):
+        if gcd(b, t) == 1 and (b * b * m) % tsq == target:
             return b
     return None
 
@@ -376,17 +382,23 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
     The square, divisibility and primitivity of the result are re-verified
     through the lattice module, not assumed from the construction.
     """
-    b = nonempty_residue(q)
-    if b is None:
-        return None
+    _validate(q)
     m = q.family.m(q.n)
-    e = (q.d + b * b * m) // (q.t * q.t)
-    w = Witness(a=q.t, b=b, e=e)
-    c = LatticeClass(q.family, q.n, w.a, w.b, w.e)
-    if (e < 1 or bbf_square(c) != 2 * q.d or divisibility(c) != q.t
-            or not is_primitive(w.a, w.b)):
+    b = _residue(m, q.d, q.t)
+    return None if b is None else _witness(q.family, q.n, m, q.d, q.t, b)
+
+
+def _witness(family: Family, n: int, m: int, d: int, t: int,
+             b: int) -> Witness:
+    # the class (t, b, e) for the residue b, re-verified through `lattice`
+    e = (d + b * b * m) // (t * t)
+    w = Witness(t, b, e)
+    c = LatticeClass(family, n, t, b, e)
+    if (e < 1 or bbf_square(c) != 2 * d or divisibility(c) != t
+            or not is_primitive(t, b)):
         raise InternalInconsistency(
-            "constructed witness %r fails verification at %r" % (w, q))
+            "constructed witness %r fails verification at %r"
+            % (w, ModuliQuery(family, n, d, t)))
     return w
 
 
@@ -461,19 +473,23 @@ def reports(family: Family, n: int, t: int,
             ds: Iterable[int]) -> Iterator[ModuliReport]:
     """Full answers for the queries (family, n, d, t), d running over ds.
 
-    n and t are validated here, before the first report; each d when it is
-    reached.  The parts that depend only on (family, n, t) are computed
-    once: m, whether t divides 2m, and the two threshold bounds.
+    n and t are validated here, once, before the first report; each d when
+    it is reached.  The parts that depend only on (family, n, t) are
+    computed once: m, whether t divides 2m, and the two threshold bounds.
+    The cells then run the helpers behind `nonempty_residue`, `witness`,
+    `decompose` and `component_count_detail` on these integers, so no cell
+    validates its query again or builds one.
 
     A cell where t does not divide both 2m and 2d is empty and is answered
     without a scan: t does not divide gcd(2d, 2m), so `decompose` raises
     DivisibilityViolation and the count is 0, and no residue b exists (see
-    `nonempty_residue`).  Every other cell finds the residue b once through
-    `witness` (the space is non-empty exactly when it returns a class) and
-    cross-checks the counting formula against it, raising
-    InternalInconsistency when they disagree.  The per-component guarantees
-    are masked with non-emptiness (no component, no claim) and apply to
-    every component exactly when the count is 1.
+    `nonempty_residue`).  Every other cell finds the residue b once, builds
+    and re-verifies the witness from it as `witness` does (the space is
+    non-empty exactly when there is one) and cross-checks the counting
+    formula against it, raising InternalInconsistency when they disagree.
+    The per-component guarantees are masked with non-emptiness (no
+    component, no claim) and apply to every component exactly when the
+    count is 1.
     """
     _validate(ModuliQuery(family, n, 1, t))
     return _reports(family, n, t, ds)
@@ -493,18 +509,18 @@ def _reports(family: Family, n: int, t: int,
             yield ModuliReport(family, n, d, t, False, 0, None, False, False,
                                fujita, False, False)
             continue
-        q = ModuliQuery(family, n, d, t)
-        w = witness(q)
+        b = _residue(m, d, t)
+        w = None if b is None else _witness(family, n, m, d, t, b)
         ne = w is not None
-        detail = component_count_detail(q)
-        if (detail.count >= 1) != ne:
+        count, _, halved = _count_detail(_decompose(m, d, t), t)
+        if (count >= 1) != ne:
             raise InternalInconsistency(
                 "non_empty = %r but component count = %d at %r"
-                % (ne, detail.count, q))
-        yield ModuliReport(family, n, d, t, ne, detail.count, w,
+                % (ne, count, ModuliQuery(family, n, d, t)))
+        yield ModuliReport(family, n, d, t, ne, count, w,
                            ne and d * den >= bpf_num,
                            ne and d * den >= va_num,
-                           fujita, detail.count == 1, detail.halved)
+                           fujita, count == 1, halved)
 
 
 def report(q: ModuliQuery) -> ModuliReport:

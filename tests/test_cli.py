@@ -5,7 +5,9 @@ import json
 import pytest
 
 from hkmoduli import cli, moduli
-from hkmoduli.moduli import InternalInconsistency
+from hkmoduli.arith import divisors
+from hkmoduli.lattice import Family
+from hkmoduli.moduli import InternalInconsistency, ModuliReport, reports
 
 
 def run(capsys, *argv):
@@ -124,6 +126,52 @@ def test_csv_header_golden():
         "family,n,d,t,non_empty,components,witness_a,witness_b,witness_e,"
         "bpf_some_component,va_some_component,fujita_power,"
         "applies_to_all_components")
+
+
+# The per-report rendering the CSV table used before its per-t row formats,
+# kept as their reference: one format string over the report's fields but
+# the last (`halved`), the family by value, the witness as three cells that
+# are empty when there is none, and bools as 0/1.
+_REFERENCE_LINE = ",".join("%s" if field in ("family", "witness") else "%d"
+                           for field in ModuliReport._fields[:-1]) + "\n"
+
+
+def _csv_line(rep):
+    cells = list(rep[:-1])
+    cells[0] = rep.family.value
+    w = rep.witness
+    cells[ModuliReport._fields.index("witness")] = (
+        ",," if w is None else "%d,%d,%d" % w)
+    return _REFERENCE_LINE % tuple(cells)
+
+
+def test_table_csv_matches_per_report_reference(capsys):
+    d_range = range(1, 241)
+    seen = set()
+    for family in Family:
+        for n in range(2, 31):
+            two_m = 2 * family.m(n)
+            ts = divisors(two_m)
+            ts.append(next(t for t in range(3, two_m + 3) if two_m % t))
+            code, out, err = run(capsys, "table", "--family", family.value,
+                                 "--n", str(n), "--d-range", "1..240",
+                                 "--t", ",".join(map(str, ts)),
+                                 "--format", "csv")
+            assert (code, err) == (0, "")
+            expected = [",".join(cli._CSV_HEADER) + "\n"]
+            for t in sorted(ts):
+                for rep in reports(family, n, t, d_range):
+                    expected.append(_csv_line(rep))
+                    seen.add("non-empty" if rep.non_empty else "empty")
+                    if rep.halved:
+                        seen.add("halved")
+                    if rep.components > 1:
+                        seen.add("several components")
+            assert out == "".join(expected), (family, n)
+    assert seen == {"empty", "non-empty", "halved", "several components"}
+    code, out, _ = run(capsys, "table", "--family", "k3n", "--n", "16",
+                       "--d-range", "210..210", "--t", "15", "--format", "csv")
+    assert out.splitlines()[1] == "k3n,16,210,15,1,2,15,1,1,1,1,18,0"
 
 
 def test_table_json_sorted(capsys):

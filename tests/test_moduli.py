@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -219,13 +220,14 @@ def test_large_t_nonempty_report_witness_verifies():
 
 def test_report_finds_the_residue_once(monkeypatch):
     calls = []
-    original = moduli.nonempty_residue
+    original = moduli._residue
 
-    def counted(q):
-        calls.append(q)
-        return original(q)
+    def counted(m, d, t):
+        # every query below is K3HILB, where n = m + 1
+        calls.append(ModuliQuery(K3, m + 1, d, t))
+        return original(m, d, t)
 
-    monkeypatch.setattr(moduli, "nonempty_residue", counted)
+    monkeypatch.setattr(moduli, "_residue", counted)
     for q, ne in ((ModuliQuery(K3, 2, 5, 2), False),
                   (ModuliQuery(K3, 2, 3, 2), True)):
         calls.clear()
@@ -526,14 +528,18 @@ def test_report_notes_mention_halving():
 
 
 def test_report_internal_inconsistency_guard(monkeypatch):
-    from hkmoduli.moduli import ComponentCountDetail
+    def broken(dec, t):
+        return 0, None, False
 
-    def broken(q):
-        return ComponentCountDetail(0, None, False, None)
-
-    monkeypatch.setattr(moduli, "component_count_detail", broken)
+    monkeypatch.setattr(moduli, "_count_detail", broken)
     with pytest.raises(InternalInconsistency):
         moduli.report(ModuliQuery(K3, 2, 3, 2))
+    # inside a sweep: the empty cells d = 1, 2 agree with count 0, the
+    # non-empty cell d = 3 does not
+    sweep = reports(K3, 2, 2, range(1, 10))
+    assert [rep.d for rep in itertools.islice(sweep, 2)] == [1, 2]
+    with pytest.raises(InternalInconsistency, match=r"n=2, d=3, t=2\)"):
+        next(sweep)
 
 
 @settings(max_examples=300)
@@ -631,3 +637,16 @@ def test_sweep_validates_before_the_first_report():
     assert next(sweep).non_empty
     with pytest.raises(ValueError, match="d must be >= 1"):
         next(sweep)
+
+
+def test_sweep_validates_once(monkeypatch):
+    calls = []
+    original = moduli._validate
+
+    def counted(q):
+        calls.append(q)
+        original(q)
+
+    monkeypatch.setattr(moduli, "_validate", counted)
+    assert len(list(reports(K3, 10, 3, range(1, 200)))) == 199
+    assert len(calls) == 1
