@@ -14,7 +14,6 @@ from functools import lru_cache
 
 __all__ = [
     "NotInvertible",
-    "divisors",
     "euler_phi",
     "factorize",
     "is_quadratic_residue",
@@ -55,21 +54,6 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     if m > 1:
         out.append((m, 1))
     return tuple(out)
-
-
-def divisors(m: int) -> list[int]:
-    """All positive divisors of m >= 1, increasing."""
-    if m < 1:
-        raise ValueError("divisors expects a positive integer, got %r" % (m,))
-    small, large = [], []
-    k = 1
-    while k * k <= m:
-        if m % k == 0:
-            small.append(k)
-            if k * k != m:
-                large.append(m // k)
-        k += 1
-    return small + large[::-1]
 
 
 def euler_phi(m: int) -> int:

@@ -9,7 +9,9 @@ Subcommands:
 Output formats: human (default), json, csv (table only).  JSON output is
 canonical: fixed key order, integers, booleans, strings and lists only (no
 floats; exact rationals are rendered as strings), so re-serializing the
-parsed output reproduces the bytes.
+parsed output reproduces the bytes.  They are the bytes of
+json.dumps(obj, indent=2), written by `_json_text` rather than by json's
+encoder, which runs in pure Python once an indent is set.
 
 Exit codes: 0 success, 1 usage error, 2 internal inconsistency (the closed
 formulas and the brute-force oracle, or two formulas, disagree; this is a
@@ -152,18 +154,51 @@ def _report_dict(rep: ModuliReport) -> dict:
     return obj
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    # The text of json.dumps(obj, indent=2) for the types the commands emit:
+    # dicts with str keys, lists and tuples (NamedTuples too), str, int, bool
+    # and None.  Anything else, a float or a str subclass included, raises
+    # TypeError.  `pad` is the newline and indentation before obj's own
+    # closing bracket.  With an indent json falls back to its pure-Python
+    # encoder; only its string quoting, which is C, is used here.
+    from json.encoder import encode_basestring_ascii as quote
+
+    def text(o, pad: str) -> str:
+        # leaves by exact type; containers, NamedTuples included, by kind
+        cls = type(o)
+        if cls is str:
+            return quote(o)
+        if cls is int:
+            return int.__repr__(o)
+        if cls is bool:
+            return "true" if o else "false"
+        if o is None:
+            return "null"
+        inner = pad + "  "
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            return "{%s%s%s}" % (inner, ("," + inner).join(
+                [quote(k) + ": " + text(v, inner) for k, v in o.items()]), pad)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            return "[%s%s%s]" % (inner, ("," + inner).join(
+                [text(v, inner) for v in o]), pad)
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % cls.__name__)
+
+    return text(obj, pad)
+
+
 def _emit_json(obj) -> None:
-    import json
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_json_text(obj) + "\n")
 
 
 def _emit_json_array(objs: Iterator[dict]) -> None:
     # the bytes of _emit_json(list(objs)) for a non-empty objs, written one
-    # element at a time; json escapes the newlines inside strings, so each
-    # newline left in an element's text is indentation
-    import json
-    items = (json.dumps(obj, indent=2).replace("\n", "\n  ")
-             for obj in objs)
+    # element at a time
+    items = (_json_text(obj, "\n  ") for obj in objs)
     sys.stdout.write("[\n  " + next(items))
     sys.stdout.writelines(",\n  " + item for item in items)
     sys.stdout.write("\n]\n")
@@ -340,7 +375,9 @@ def _add_one_query_args(p: argparse.ArgumentParser) -> None:
 
 # built on first use, not at import; costs several times a `check` query
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    # the top-level parser and each command's own parser, by command name
     parser = _Parser(prog="hkmoduli",
                      description="Moduli of polarized hyperkaehler "
                                  "manifolds: exact arithmetic answers.")
@@ -371,13 +408,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="polarization class for one query")
     _add_one_query_args(p)
     p.set_defaults(func=_cmd_witness)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            # What parser.parse_args(argv) does when argv starts with a
+            # command: the top-level parser hands every argument after it to
+            # the command's parser and refuses what that leaves over.  Called
+            # directly, the top-level scan of the arguments is skipped.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: %s" % " ".join(extra))
         return args.func(args)
     except SystemExit as exc:
         # argparse exits on usage errors (code 1 via _Parser) and on --help

@@ -252,8 +252,7 @@ class ModuliReport(NamedTuple):
     def threshold_notes(self) -> tuple[str, ...]:
         """The threshold notes of the query, and one more when the count
         used exact halving; rendered when read."""
-        notes = thresholds(ModuliQuery(self.family, self.n, self.d,
-                                       self.t)).notes
+        notes = _thresholds(self.family, self.n, self.d, self.t).notes
         if self.halved:
             notes += ("component count used exact halving (rho = 0 case)",)
         return notes
@@ -434,15 +433,19 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
     rounded in exact integers.  The notes are rendered only when read.
     """
     _validate(q)
-    den, bpf_num, va_num = _bounds(q.family, q.n, q.t)
+    return _thresholds(q.family, q.n, q.d, q.t)
+
+
+def _thresholds(family: Family, n: int, d: int, t: int) -> ThresholdDecision:
+    den, bpf_num, va_num = _bounds(family, n, t)
     return ThresholdDecision(
-        bpf=q.d * den >= bpf_num,
-        very_ample=q.d * den >= va_num,
-        fujita_power=q.n + 2,
-        t=q.t,
+        bpf=d * den >= bpf_num,
+        very_ample=d * den >= va_num,
+        fujita_power=n + 2,
+        t=t,
         d_min_bpf=-(-bpf_num // den),
         d_min_va=-(-va_num // den),
-        d=q.d,
+        d=d,
         bpf_num=bpf_num,
         va_num=va_num,
     )
@@ -527,4 +530,4 @@ def report(q: ModuliQuery) -> ModuliReport:
     """Full answer for one query: the one-cell case of `reports`."""
     # checks d before t, so a query with several bad values names the first
     _validate(q)
-    return next(reports(q.family, q.n, q.t, (q.d,)))
+    return next(_reports(q.family, q.n, q.t, (q.d,)))

@@ -8,9 +8,10 @@ counterexamples instead of just dying.
 
 import time
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
-from hkmoduli.arith import divisors, is_quadratic_residue
+from hkmoduli.arith import is_quadratic_residue
 from hkmoduli.bundles import BundleSpec, SurfaceKind, induced_bundle_status, \
     max_k_very_ample
 from hkmoduli.lattice import Family, LatticeClass, divisibility, \
@@ -18,6 +19,13 @@ from hkmoduli.lattice import Family, LatticeClass, divisibility, \
 from hkmoduli.moduli import ModuliQuery, component_count, is_nonempty, \
     prime_power_connected, thresholds, witness
 from hkmoduli.oracle import enumerate_witnesses, orbit_count, verify_witness
+
+
+def divisors(m):
+    # the positive divisors of m, increasing
+    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    return low + [m // k for k in reversed(low) if k * k != m]
+
 
 K3 = Family.K3HILB
 KUM = Family.KUMMER

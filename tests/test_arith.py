@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hkmoduli import arith
 from hkmoduli.arith import (
     NotInvertible,
-    divisors,
     euler_phi,
     factorize,
     is_quadratic_residue,
@@ -49,14 +48,6 @@ def test_factorize_reconstructs_and_uses_primes(m):
         prod *= p ** k
     assert prod == m
     assert [p for p, _ in fac] == sorted({p for p, _ in fac})
-
-
-def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-    with pytest.raises(ValueError):
-        divisors(0)
 
 
 # ------------------------------------------------------------------ phi/rho

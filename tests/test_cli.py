@@ -1,13 +1,21 @@
 import csv
 import io
 import json
+import sys
+from math import isqrt
 
 import pytest
 
 from hkmoduli import cli, moduli
-from hkmoduli.arith import divisors
 from hkmoduli.lattice import Family
-from hkmoduli.moduli import InternalInconsistency, ModuliReport, reports
+from hkmoduli.moduli import (InternalInconsistency, ModuliReport, Witness,
+                             reports)
+
+
+def divisors(m):
+    # the positive divisors of m, increasing
+    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    return low + [m // k for k in reversed(low) if k * k != m]
 
 
 def run(capsys, *argv):
@@ -309,6 +317,82 @@ def test_reused_parser_keeps_no_state(capsys):
     assert first[0] == 0 and first[2] == ""
 
 
+# main as it was before it dispatched on the command name: the whole argv
+# goes through the top-level parser.
+def _reference_main(argv):
+    parser = cli._parsers()[0]
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 1
+    except InternalInconsistency as exc:
+        print("internal inconsistency: %s" % exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        return 1
+
+
+QUERY = ["--family", "k3n", "--n", "10", "--d", "27", "--t", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", *QUERY, "extra"],
+    ["check", *QUERY, "--bogus", "1"],
+    ["--", "check", *QUERY],
+    ["check", *QUERY, "-h"],
+    ["check", "--fam", "k3n", "--n", "10", "--d", "27", "--t", "3",
+     "--format", "json"],
+    ["nosuchcommand"],
+    [],
+    ["table", "--family", "kum", "--n", "3", "--t", "1,2",
+     "--d-range", "0..3"],
+    ["kva", "--surface", "k3", "--a", "1", "--e", "4", "x", "y"],
+    ["check", *QUERY, "--format", "json"],
+], ids=repr)
+def test_direct_dispatch_matches_the_full_parser(capsys, argv):
+    expected = (_reference_main(list(argv)),) + capsys.readouterr()
+    assert run(capsys, *argv) == expected
+
+
+def test_check_validates_the_query_once(capsys, monkeypatch):
+    calls = []
+    validate = moduli._validate
+
+    def counted(q):
+        calls.append(q)
+        validate(q)
+
+    monkeypatch.setattr(moduli, "_validate", counted)
+    for fmt in ("json", "human"):
+        calls.clear()
+        assert run(capsys, "check", *QUERY, "--format", fmt)[0] == 0
+        assert len(calls) == 1, fmt
+
+
+# ---------------------------------------------------------------- json text
+
+@pytest.mark.parametrize("obj", [
+    {"oracle": {"bounds": {"max_a": 2, "max_b": 4, "max_e": 51},
+                "witness_found": True, "agrees": True}, "n": 2},
+    [], {}, [[], {}, [{}]], {"a": [], "b": {}},
+    None, True, False, [None, True, False],
+    -1, 0, -(2 ** 70), 2 ** 64 + 1, [-5, 2 ** 80],
+    Witness(8, 3, 1), {"witness": Witness(1000, 1, 1), "none": None},
+    "plain", "", "tau = 9/4 \u00e9\u4e2d\U0001f600", 'say "hi"', "back\\slash",
+    "line\nbreak", "ctrl\x01\x1f\x7f", {"k\u00e9y \"q\"\n": ["\\", "\t"]},
+], ids=repr)
+def test_json_text_equals_json_dumps_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_refuses_other_types():
+    for obj in (1.5, [1.0], {"x": float("nan")}, Family.K3HILB):
+        with pytest.raises(TypeError):
+            cli._json_text(obj)
+
+
 # -------------------------------------------------------- errors and bounds
 
 def test_usage_errors_exit_1(capsys):
@@ -418,7 +502,6 @@ def test_internal_inconsistency_exits_2(capsys, monkeypatch):
 
 def test_module_entry_point():
     import subprocess
-    import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "hkmoduli", "witness", "--family", "k3n",
@@ -435,3 +518,13 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["oracle"] == {
         "bounds": {"max_a": 2, "max_b": 4, "max_e": 51},
         "witness_found": True, "agrees": True}
+    # and with sys.argv read by main itself: a trailing argument is refused
+    # by the top-level parser, as parse_args refuses it
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkmoduli", "check", "--family", "k3n",
+         "--n", "2", "--d", "3", "--t", "2", "extra"],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: hkmoduli [-h]")
+    assert proc.stderr.endswith(
+        "hkmoduli: error: unrecognized arguments: extra\n")

@@ -2,14 +2,14 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkmoduli import moduli
-from hkmoduli.arith import divisors, qr_of_ratio
+from hkmoduli.arith import qr_of_ratio
 from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
 from hkmoduli.moduli import (
     Decomposition,
@@ -29,6 +29,13 @@ from hkmoduli.moduli import (
     witness,
 )
 from hkmoduli.oracle import verify_witness
+
+
+def divisors(m):
+    # the positive divisors of m, increasing
+    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    return low + [m // k for k in reversed(low) if k * k != m]
+
 
 K3 = Family.K3HILB
 KUM = Family.KUMMER

@@ -1,10 +1,9 @@
-from math import gcd
+from math import gcd, isqrt
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkmoduli import oracle
-from hkmoduli.arith import divisors
 from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
 from hkmoduli.moduli import ModuliQuery, Witness, is_nonempty, witness
 from hkmoduli.oracle import (
@@ -14,6 +13,13 @@ from hkmoduli.oracle import (
     orbit_count,
     verify_witness,
 )
+
+
+def divisors(m):
+    # the positive divisors of m, increasing
+    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
+    return low + [m // k for k in reversed(low) if k * k != m]
+
 
 K3 = Family.K3HILB
 KUM = Family.KUMMER
