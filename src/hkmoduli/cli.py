@@ -33,7 +33,6 @@ import functools
 import itertools
 import os
 import sys
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 # json, the bundles module and the oracle are imported in the branches that
@@ -49,25 +48,9 @@ __all__ = ["main"]
 # reach the cap near t = 3163.
 ORACLE_MAX_CANDIDATES = 20_000_000
 
-# JSON keys, CSV columns and CSV cells all follow the report's field order.
-# JSON puts the notes in place of `halved` (the last field); CSV leaves
-# that field out and splits the witness into one column per coordinate.
-_CSV_FIELDS = ModuliReport._fields[:-1]
-_CSV_HEADER = [column for field in _CSV_FIELDS
-               for column in (["witness_" + c for c in Witness._fields]
-                              if field == "witness" else [field])]
-# Every cell but the family and the witness is an int, or a bool that %d
-# prints as 0/1, so no cell needs quoting and a row is one format string.
-_CELL_FORMATS = tuple("%s" if field in ("family", "witness") else "%d"
-                      for field in _CSV_FIELDS)
-_WITNESS_CELLS = ",".join("%d" for _ in Witness._fields)
-_NO_WITNESS = "," * (len(Witness._fields) - 1)
-# The cells that are the same in every row of one t's sweep are written into
-# that sweep's row formats once; a row fills in only the others.
-_PER_T = ("family", "n", "t", "fujita_power")
-_ROW_FIELDS = tuple(field for field in _CSV_FIELDS if field not in _PER_T)
-_row_cells = itemgetter(*map(_CSV_FIELDS.index, _ROW_FIELDS))
-_ROW_WITNESS_AT = _ROW_FIELDS.index("witness")
+_CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
+               "witness_e,bpf_some_component,va_some_component,fujita_power,"
+               "applies_to_all_components").split(",")
 
 # the values of bundles.SurfaceKind, written out so that building the parser
 # does not import the bundles module (a test keeps the two equal)
@@ -231,39 +214,23 @@ def _print_report_human(rep: ModuliReport, oracle: Optional[dict]) -> None:
                  oracle["bounds"]["max_e"]))
 
 
-def _row_format(rep: ModuliReport, open_fields: Sequence[str]) -> str:
-    # the CSV line as a format string: a placeholder for each field in
-    # open_fields, rep's cell for every other field
-    cells = []
-    for field, fmt, value in zip(_CSV_FIELDS, _CELL_FORMATS, rep):
-        if field in open_fields:
-            cells.append(fmt)
-        elif field == "family":
-            cells.append(value.value)
-        elif field == "witness":
-            cells.append(_NO_WITNESS if value is None
-                         else _WITNESS_CELLS % value)
-        else:
-            cells.append(fmt % value)
-    return ",".join(cells) + "\n"
-
-
 def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
-    # The rows of one t's sweep.  An empty cell has no witness, count 0 and
-    # every flag False, so its row depends on d alone.  Each format is made
-    # from the first report that needs it.
-    full = empty = None
-    for rep in sweep:
-        if rep.non_empty:
-            if full is None:
-                full = _row_format(rep, _ROW_FIELDS)
-            cells = list(_row_cells(rep))
-            cells[_ROW_WITNESS_AT] = _WITNESS_CELLS % cells[_ROW_WITNESS_AT]
-            yield full % tuple(cells)
+    # The rows of one t's sweep, in the columns of _CSV_HEADER; %d writes a
+    # bool as 0/1.  An empty cell has no witness, count 0 and every flag
+    # False, so its row depends on d alone: its template is made once, from
+    # the first empty report.
+    empty = None
+    for r in sweep:
+        if r.non_empty:
+            yield "%s,%d,%d,%d,1,%d,%d,%d,%d,%d,%d,%d,%d\n" % (
+                r.family.value, r.n, r.d, r.t, r.components, *r.witness,
+                r.bpf_some_component, r.va_some_component, r.fujita_power,
+                r.applies_to_all_components)
         else:
             if empty is None:
-                empty = _row_format(rep, ("d",))
-            yield empty % rep.d
+                empty = "%s,%d,%%d,%d,0,0,,,,0,0,%d,0\n" % (
+                    r.family.value, r.n, r.t, r.fujita_power)
+            yield empty % r.d
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -311,11 +278,12 @@ def _cmd_kva(args: argparse.Namespace) -> int:
                           max_k_very_ample)
     spec = BundleSpec(SurfaceKind(args.surface), args.a, args.e)
     k = max_k_very_ample(spec)
+    # before either format writes, so a bad n exits 1 with nothing printed
+    status = None if args.n is None else induced_bundle_status(spec, args.n)
     if args.format == "json":
         obj = {"surface": spec.surface.value, "a": spec.a, "e": spec.e,
                "max_k_very_ample": k}
-        if args.n is not None:
-            status = induced_bundle_status(spec, args.n)
+        if status is not None:
             obj["n"] = args.n
             obj["induced_bpf"] = status.bpf
             obj["induced_very_ample"] = status.very_ample
@@ -325,8 +293,7 @@ def _cmd_kva(args: argparse.Namespace) -> int:
         print("max k with L k-very ample: %d" % k)
         if k < 0:
             print("negative bound: L is not base point free")
-        if args.n is not None:
-            status = induced_bundle_status(spec, args.n)
+        if status is not None:
             print("induced bundle at n=%d: base point free: %s, "
                   "very ample: %s" % (args.n, _yesno(status.bpf),
                                       _yesno(status.very_ample)))
@@ -341,7 +308,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         obj = {
             "family": q.family.value, "n": q.n, "d": q.d, "t": q.t,
             "non_empty": w is not None,
-            "witness": None if w is None else list(w),
+            "witness": w,
         }
         if oracle is not None:
             obj["oracle"] = oracle

@@ -129,7 +129,7 @@ def test_table_csv_contract(capsys):
 
 
 def test_csv_header_golden():
-    # built from the report's fields; the bytes are part of the CSV contract
+    # the bytes are part of the CSV contract
     assert ",".join(cli._CSV_HEADER) == (
         "family,n,d,t,non_empty,components,witness_a,witness_b,witness_e,"
         "bpf_some_component,va_some_component,fujita_power,"
@@ -256,6 +256,15 @@ def test_kva_human_negative_bound(capsys):
                        "--e", "1")
     assert code == 0
     assert "not base point free" in out
+
+
+def test_kva_bad_n_writes_nothing(capsys):
+    # the n check runs before either format writes its first line
+    for fmt in ("human", "json"):
+        code, out, err = run(capsys, "kva", "--surface", "k3", "--a", "1",
+                             "--e", "4", "--n", "1", "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert "n must be >= 2" in err
 
 
 # ----------------------------------------------------------------- witness
