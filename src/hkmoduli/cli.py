@@ -43,9 +43,10 @@ from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
 
 __all__ = ["main"]
 
-# At 0.2-0.35 us per candidate (Python 3.11) a refused search would have
-# run for at least 4-7 s; the default bounds scan 2*t^2 + 1 candidates and
-# reach the cap near t = 3163.
+# The estimate counts the pairs (a, b) in the bounds, 2*t^2 + 1 with the
+# default bounds, which reach the cap near t = 3163.  The oracle tests one
+# period of b per a, t^2 values there at 0.14-0.16 us each (Python 3.11):
+# the largest default search allowed, t = 3162, takes 1.4-1.6 s.
 ORACLE_MAX_CANDIDATES = 20_000_000
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"

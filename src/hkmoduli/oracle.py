@@ -8,8 +8,14 @@ polarization data, a is restricted to a >= 1 while b runs over both signs.
 
 Only multiples of t are tried for a: (v, g) = a, because f.g = 1, g^2 = 0
 and delta is orthogonal to U, and div(v) divides every pairing of v, so
-div(v) = t forces t | a.  A search over the default bounds therefore scans
-2*t^2 + 1 candidates (a, b).
+div(v) = t forces t | a.  For each a, only one period of b is tested: the
+condition a^2 | d + b^2*m depends on b only through b mod a^2, since
+(b + a^2)^2 = b^2 (mod a^2), so the hits past the lowest a^2 values of b
+are translates of the hits among them.  A search therefore makes at most
+a^2 tests per a, which is t^2 with the default bounds.  Only that
+congruence is used, a fact about any modulus: nothing from `moduli`,
+neither t | 2m nor the residue criterion, so the oracle still does not
+lean on the lemma below that puts the smallest residue b in [1, t].
 
 For a non-empty space the explicit witness construction produces a class
 with a = t, 1 <= b <= t and e = (d + b^2*m)/t^2 <= d + m.  The default
@@ -66,16 +72,14 @@ def enumerate_witnesses(
     m = family.m(n)
     max_a, max_b, max_e = bounds
     found: list[Witness] = []
-    # t | a for every hit, since (v, g) = a (see the module docstring)
+    # t | a for every hit, since (v, g) = a (see the module docstring).
+    # Hits come out sorted by (a, b), and e is a function of (a, b).
     for a in range(t, max_a + 1, t):
         asq = a * a
-        for b in range(-max_b, max_b + 1):
+        for b in _square_hits(m, d, asq, max_b):
             # e is forced by requiring the square to be 2d:
             # 2*a^2*e - 2*b^2*m = 2d  <=>  e = (d + b^2*m) / a^2.
-            num = d + b * b * m
-            if num % asq:
-                continue
-            e = num // asq
+            e = (d + b * b * m) // asq
             if e < 1 or e > max_e:
                 continue
             if gcd(a, b) != 1:
@@ -86,8 +90,31 @@ def enumerate_witnesses(
             found.append(Witness(a, b, e))
             if stop_after is not None and len(found) >= stop_after:
                 return found
-    found.sort()
     return found
+
+
+def _square_hits(m, d, asq, max_b):
+    """The b in [-max_b, max_b] with asq | d + b^2*m, in ascending order.
+
+    Whether b is a hit depends only on b mod asq, since (b + asq)^2 =
+    b^2 (mod asq).  So only the lowest min(asq, 2*max_b + 1) values of b,
+    the window, are tested; every later hit is a translate b + k*asq of a
+    hit in the window, and the translates by k*asq all lie below those by
+    (k + 1)*asq.  Hits are yielded as they are found, so a caller that
+    stops early pays only for the window up to its stop.
+    """
+    target = -d % asq
+    roots = []
+    for b in range(-max_b, min(asq - max_b, max_b + 1)):
+        if b * b * m % asq == target:
+            roots.append(b)
+            yield b
+    for shift in range(asq, 2 * max_b + 1, asq):
+        for b in roots:
+            b += shift
+            if b > max_b:
+                break
+            yield b
 
 
 def verify_witness(w: Witness, q: ModuliQuery) -> bool:

@@ -143,9 +143,9 @@ def test_oracle_agrees_with_formula_at_larger_t(case):
         assert w in hits
 
 
-def _enumerate_every_a(q, bounds=None, stop_after=None):
+def _enumerate_every_a(q, bounds=None):
     """Reference: the search that tries every a in [1, max_a], not only the
-    multiples of t."""
+    multiples of t, and every b in [-max_b, max_b]."""
     if bounds is None:
         bounds = default_bounds(q)
     family, n, d, t = q
@@ -164,10 +164,23 @@ def _enumerate_every_a(q, bounds=None, stop_after=None):
             if bbf_square(c) != 2 * d or divisibility(c) != t:
                 continue
             found.append(Witness(a, b, e))
-            if stop_after is not None and len(found) >= stop_after:
-                return found
     found.sort()
     return found
+
+
+def _window_bounds(q):
+    """Bounds that place max_b against the period a^2 of b mod a^2."""
+    t = q.t
+    tsq = t * t
+    return (
+        # no b but 0; under half a period; one period less one
+        SearchBounds(t, 0, 40),
+        SearchBounds(t, (tsq - 1) // 2, 40),
+        SearchBounds(t, tsq - 1, 40),
+        # several translates of a window that is not a whole number of
+        # periods, with a max_e that cuts the range of b off midway
+        SearchBounds(t, 3 * tsq + 2, q.d + 2 * tsq * q.family.m(q.n)),
+    )
 
 
 def test_multiples_of_t_match_every_a_reference():
@@ -178,16 +191,36 @@ def test_multiples_of_t_match_every_a_reference():
                 for d in range(1, 31):
                     q = ModuliQuery(family, n, d, t)
                     # default bounds; max_a off a multiple of t (t = 1 has
-                    # none); max_a < t
+                    # none); max_a < t; then the windows of b
                     for bounds in (None, SearchBounds(2 * t + 1, 3 * t, 40),
-                                   SearchBounds(t - 1, t * t, 40)):
-                        for stop_after in (None, 1):
+                                   SearchBounds(t - 1, t * t, 40),
+                                   *_window_bounds(q)):
+                        # a search stopped after k hits is the first k of
+                        # the full one
+                        full = _enumerate_every_a(q, bounds)
+                        for stop_after in (None, 1, 2, 3):
                             got = enumerate_witnesses(q, bounds, stop_after)
-                            assert got == _enumerate_every_a(
-                                q, bounds, stop_after), (q, bounds, stop_after)
+                            assert got == full[:stop_after], (
+                                q, bounds, stop_after)
                             searches += 1
                             hits += bool(got)
     assert hits and hits < searches
+
+
+@settings(max_examples=300, deadline=None)
+@given(families, st.integers(min_value=2, max_value=8),
+       st.integers(min_value=1, max_value=80),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=20),
+       st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([None, 1, 2, 3]))
+def test_window_matches_every_a_reference(family, n, d, t, max_a, max_b,
+                                          max_e, stop_after):
+    q = ModuliQuery(family, n, d, t)
+    bounds = SearchBounds(max_a, max_b, max_e)
+    full = _enumerate_every_a(q, bounds)
+    assert enumerate_witnesses(q, bounds, stop_after) == full[:stop_after]
 
 
 def test_only_multiples_of_t_reach_the_lattice(monkeypatch):
