@@ -13,6 +13,11 @@ parsed output reproduces the bytes.  They are the bytes of
 json.dumps(obj, indent=2), written by `_json_text` rather than by json's
 encoder, which runs in pure Python once an indent is set.
 
+A plain `check` or `witness` argv (each option once, as its own word
+followed by its value) is read without argparse; see _plain_args.  argparse
+is imported and the parsers are built only for `table`, `kva`, any other
+argv, --help and usage errors, so those keep argparse's messages.
+
 Exit codes: 0 success, 1 usage error, 2 internal inconsistency (the closed
 formulas and the brute-force oracle, or two formulas, disagree; this is a
 bug report, not a user error).
@@ -28,20 +33,28 @@ refused with exit 1 instead of being run.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import os
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-# json, the bundles module and the oracle are imported in the branches that
-# use them, so a one-shot call does not pay for what it does not run.
+# argparse, json, the bundles module and the oracle are imported in the
+# branches that use them, so a one-shot call does not pay for what it does
+# not run.
 from .lattice import Family
 from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
                      Witness, report, reports, witness)
 
+if TYPE_CHECKING:
+    import argparse
+
 __all__ = ["main"]
+
+# the program name in usage lines and in the "hkmoduli: error: " prefix,
+# which is also written when no parser has been built
+_PROG = "hkmoduli"
 
 # The estimate counts the pairs (a, b) in the bounds, 2*t^2 + 1 with the
 # default bounds, which reach the cap near t = 3163.  The oracle tests one
@@ -57,18 +70,29 @@ _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
 # does not import the bundles module (a test keeps the two equal)
 _SURFACES = ("k3", "abelian")
 
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1; argparse's default (2) is reserved for
-    # internal inconsistencies.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+# The options of check and witness, each with the keyword arguments of its
+# add_argument call.  The parsers are declared from this table and
+# _plain_args reads a plain argv by it, so the two cannot disagree on an
+# option's name, choices or type.
+_ONE_QUERY_OPTIONS = {
+    "--family": {"required": True, "choices": [f.value for f in Family],
+                 "help": "k3n: Hilbert schemes of points on K3; "
+                         "kum: generalized Kummer varieties"},
+    "--n": {"required": True, "type": int,
+            "help": "half the complex dimension, n >= 2"},
+    "--d": {"required": True, "type": int, "help": "half the BBF square"},
+    "--t": {"required": True, "type": int, "help": "divisibility"},
+    "--format": {"choices": ["human", "json"], "default": "human"},
+    "--oracle": {"action": "store_true",
+                 "help": "cross-check with brute-force lattice search"},
+}
 
 
 def _parse_range(text: str) -> range:
     # ArgumentTypeError (not ValueError) so argparse reports these messages
     # verbatim instead of a generic "invalid value".
+    import argparse
+
     lo, sep, hi = text.partition("..")
     try:
         a, b = int(lo), int(hi)
@@ -82,6 +106,8 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_t_list(text: str) -> list[int]:
+    import argparse
+
     message = "need a comma separated list of t >= 1, got %r" % (text,)
     try:
         out = [int(part) for part in text.split(",") if part]
@@ -324,39 +350,85 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_query_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=[f.value for f in Family],
-                   help="k3n: Hilbert schemes of points on K3; "
-                        "kum: generalized Kummer varieties")
-    p.add_argument("--n", required=True, type=int,
-                   help="half the complex dimension, n >= 2")
+_ONE_QUERY_COMMANDS = {"check": _cmd_check, "witness": _cmd_witness}
 
 
-def _add_one_query_args(p: argparse.ArgumentParser) -> None:
-    _add_query_args(p)
-    p.add_argument("--d", required=True, type=int, help="half the BBF square")
-    p.add_argument("--t", required=True, type=int, help="divisibility")
-    p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with brute-force lattice search")
+def _plain_args(argv: Sequence[str]) -> Optional[dict]:
+    """The fields argparse would set for a `check` or `witness` argv in
+    plain form, func included, or None for any other argv.
+
+    Plain: after the command name, only the option words of
+    _ONE_QUERY_OPTIONS, each at most once and every required one present;
+    an option that takes a value is followed by a word that does not start
+    with "-" and that its choices hold or its type (int) accepts.  argparse
+    reads such an argv to the same fields.  Any other argv is left to it,
+    so usage errors, --help, abbreviations, --opt=value and repeated
+    options all come from argparse.
+    """
+    func = _ONE_QUERY_COMMANDS.get(argv[0]) if argv else None
+    if func is None:
+        return None
+    fields = {"func": func}
+    words = iter(argv[1:])
+    for word in words:
+        spec = _ONE_QUERY_OPTIONS.get(word)
+        name = word[2:]
+        if spec is None or name in fields:
+            return None
+        if "action" in spec:  # --oracle, a store_true flag
+            fields[name] = True
+            continue
+        value = next(words, "-")
+        if value[:1] == "-":
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        elif value not in spec["choices"]:
+            return None
+        fields[name] = value
+    for option, spec in _ONE_QUERY_OPTIONS.items():
+        name = option[2:]
+        if name not in fields:
+            if spec.get("required"):
+                return None
+            fields[name] = spec.get("default", False)
+    return fields
 
 
-# built on first use, not at import; costs several times a `check` query
+# built on first use, not at import, and never for a plain check or witness:
+# it costs several times a `check` query
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser,
                         dict[str, argparse.ArgumentParser]]:
     # the top-level parser and each command's own parser, by command name
-    parser = _Parser(prog="hkmoduli",
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems must exit 1; argparse's default (2) is reserved for
+        # internal inconsistencies.
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+    def add_options(p: argparse.ArgumentParser,
+                    options: Iterable[str]) -> None:
+        for option in options:
+            p.add_argument(option, **_ONE_QUERY_OPTIONS[option])
+
+    parser = _Parser(prog=_PROG,
                      description="Moduli of polarized hyperkaehler "
                                  "manifolds: exact arithmetic answers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="full report for one query")
-    _add_one_query_args(p)
+    add_options(p, _ONE_QUERY_OPTIONS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("table", help="sweep d and t at fixed family and n")
-    _add_query_args(p)
+    add_options(p, ("--family", "--n"))
     p.add_argument("--d-range", required=True, dest="d_range",
                    type=_parse_range, metavar="LO..HI")
     p.add_argument("--t", required=True, type=_parse_t_list, metavar="T1,T2,...")
@@ -374,27 +446,32 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     p.set_defaults(func=_cmd_kva)
 
     p = sub.add_parser("witness", help="polarization class for one query")
-    _add_one_query_args(p)
+    add_options(p, _ONE_QUERY_OPTIONS)
     p.set_defaults(func=_cmd_witness)
     return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser, commands = _parsers()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        command = commands.get(argv[0]) if argv else None
-        if command is None:
-            args = parser.parse_args(argv)
+        fields = _plain_args(argv)
+        if fields is not None:
+            args = SimpleNamespace(**fields)
         else:
-            # What parser.parse_args(argv) does when argv starts with a
-            # command: the top-level parser hands every argument after it to
-            # the command's parser and refuses what that leaves over.  Called
-            # directly, the top-level scan of the arguments is skipped.
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error("unrecognized arguments: %s" % " ".join(extra))
+            parser, commands = _parsers()
+            command = commands.get(argv[0]) if argv else None
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                # What parser.parse_args(argv) does when argv starts with a
+                # command: the top-level parser hands every argument after
+                # it to the command's parser and refuses what that leaves
+                # over.  Called directly, the top-level scan is skipped.
+                args, extra = command.parse_known_args(argv[1:])
+                if extra:
+                    parser.error("unrecognized arguments: %s"
+                                 % " ".join(extra))
         return args.func(args)
     except SystemExit as exc:
         # argparse exits on usage errors (code 1 via _Parser) and on --help
@@ -405,7 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ValueError as exc:
         # bad values that argparse cannot see (env vars, domain checks)
-        print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
+        print("%s: error: %s" % (_PROG, exc), file=sys.stderr)
         return 1
 
 

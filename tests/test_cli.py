@@ -5,6 +5,8 @@ import sys
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkmoduli import cli, moduli
 from hkmoduli.lattice import Family
@@ -296,24 +298,23 @@ CHECK = ["check", "--family", "kum", "--n", "11", "--d", "36", "--t", "24",
          "--format", "json"]
 
 
-def test_parser_is_built_once(capsys, monkeypatch):
-    run(capsys, *CHECK)
-    built = []
-    original = cli._Parser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counted)
+def test_parser_is_built_once(capsys):
+    # a plain check or witness is read without the parsers; any other argv
+    # builds them on first use, and later calls reuse them
+    cli._parsers.cache_clear()
     for argv in (CHECK,
-                 ["table", "--family", "k3n", "--n", "2", "--d-range",
-                  "1..3", "--t", "1,2", "--format", "csv"],
-                 ["kva", "--surface", "k3", "--a", "1", "--e", "4"],
                  ["witness", "--family", "k3n", "--n", "2", "--d", "3",
-                  "--t", "2"]):
+                  "--t", "2", "--oracle"]):
         assert run(capsys, *argv)[0] == 0
-    assert built == []
+    assert cli._parsers.cache_info().misses == 0
+    for argv, code in ((["table", "--family", "k3n", "--n", "2", "--d-range",
+                         "1..3", "--t", "1,2", "--format", "csv"], 0),
+                       (["kva", "--surface", "k3", "--a", "1", "--e", "4"], 0),
+                       (["check", "--family", "k3n", "--n", "2"], 1),
+                       (CHECK, 0)):
+        assert run(capsys, *argv)[0] == code, argv
+    info = cli._parsers.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_reused_parser_keeps_no_state(capsys):
@@ -345,6 +346,21 @@ def _reference_main(argv):
 
 QUERY = ["--family", "k3n", "--n", "10", "--d", "27", "--t", "3"]
 
+# check and witness argv that are not in plain form: argparse reads them
+NOT_PLAIN = [
+    ["check", "--family", "k3n", "--n", "10", "--d=27", "--t", "3"],
+    ["check", "--family", "k3n", "--n", "-3", "--d", "27", "--t", "3"],
+    ["check", *QUERY, "--d", "28"],
+    ["witness", *QUERY, "--oracle", "--oracle"],
+    ["check", *QUERY, "--format", "xml"],
+    ["check", "--family", "k3n", "--n", "2.0", "--d", "27", "--t", "3"],
+    ["check", "--family", "k3n", "--n", "10", "--d", "27"],
+    ["witness", "--family", "k3n", "--n", "10", "--", "--d", "27", "--t", "3"],
+    ["check", *QUERY, "--format"],
+    ["check", "--family", "k3n", "--n", "", "--d", "27", "--t", "3"],
+    ["witness", *QUERY, "--help"],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["check", *QUERY, "extra"],
@@ -359,10 +375,51 @@ QUERY = ["--family", "k3n", "--n", "10", "--d", "27", "--t", "3"]
      "--d-range", "0..3"],
     ["kva", "--surface", "k3", "--a", "1", "--e", "4", "x", "y"],
     ["check", *QUERY, "--format", "json"],
+    ["witness", "--oracle", "--t", "+5", "--d", "1_000", "--n", " 7",
+     "--family", "kum", "--format", "json"],
+    ["check", "--t", "0", "--family", "kum", "--n", str(10 ** 30), "--d",
+     " -7"],
+    *NOT_PLAIN,
 ], ids=repr)
 def test_direct_dispatch_matches_the_full_parser(capsys, argv):
     expected = (_reference_main(list(argv)),) + capsys.readouterr()
     assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", NOT_PLAIN, ids=repr)
+def test_plain_reader_leaves_other_argv_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+@st.composite
+def int_texts(draw):
+    # what int() and so argparse's type=int accept, in several spellings
+    k = draw(st.integers(0, 10 ** 40))
+    digits = "{:_}".format(k) if draw(st.booleans()) else str(k)
+    return (draw(st.sampled_from(["", "+", " ", " -", " +0"])) + digits
+            + draw(st.sampled_from(["", " ", "\t"])))
+
+
+@st.composite
+def plain_one_query_argvs(draw):
+    options = [["--family", draw(st.sampled_from(["k3n", "kum"]))],
+               ["--n", draw(int_texts())], ["--d", draw(int_texts())],
+               ["--t", draw(int_texts())]]
+    if draw(st.booleans()):
+        options.append(["--format", draw(st.sampled_from(["human", "json"]))])
+    if draw(st.booleans()):
+        options.append(["--oracle"])
+    words = [w for option in draw(st.permutations(options)) for w in option]
+    return [draw(st.sampled_from(["check", "witness"])), *words]
+
+
+@settings(max_examples=400, deadline=None)
+@given(plain_one_query_argvs())
+def test_plain_reader_matches_the_command_parser(argv):
+    command = cli._parsers()[1][argv[0]]
+    args, extra = command.parse_known_args(argv[1:])
+    assert extra == []
+    assert cli._plain_args(argv) == vars(args)
 
 
 def test_check_validates_the_query_once(capsys, monkeypatch):

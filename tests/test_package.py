@@ -18,24 +18,33 @@ def _modules_loaded_by(statement):
     # A fresh interpreter started with -S, so that no site package preloads
     # anything: what is in sys.modules afterwards is start-up plus what the
     # statement imported.  With -c, the working directory (src/) comes first
-    # on sys.path.
+    # on sys.path.  The module names are the last line of the output.
     code = "import sys\n%s\nprint(' '.join(sys.modules))" % statement
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=SRC,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 # ------------------------------------------------------------ import hygiene
 
-HEAVY = ("logging", "dataclasses", "fractions", "json", "csv",
-         "hkmoduli.bundles", "hkmoduli.oracle")
+HEAVY = ("logging", "dataclasses", "fractions", "json", "csv", "argparse",
+         "gettext", "hkmoduli.bundles", "hkmoduli.oracle")
 
 
 def test_cli_import_leaves_unused_modules_out():
     loaded = _modules_loaded_by("import hkmoduli.cli")
     assert "hkmoduli.cli" in loaded
     assert [name for name in HEAVY if name in loaded] == []
+
+
+def test_plain_check_loads_no_argparse():
+    loaded = _modules_loaded_by(
+        "from hkmoduli import cli\n"
+        "assert cli.main(['check', '--family', 'k3n', '--n', '10', '--d',"
+        " '27', '--t', '3', '--format', 'json']) == 0")
+    assert "hkmoduli.cli" in loaded
+    assert [name for name in ("argparse", "gettext") if name in loaded] == []
 
 
 def test_report_loads_no_fractions_logging_or_dataclasses():
