@@ -9,9 +9,9 @@ Subcommands:
 Output formats: human (default), json, csv (table only).  JSON output is
 canonical: fixed key order, integers, booleans, strings and lists only (no
 floats; exact rationals are rendered as strings), so re-serializing the
-parsed output reproduces the bytes.  They are the bytes of
-json.dumps(obj, indent=2), written by `_json_text` rather than by json's
-encoder, which runs in pure Python once an indent is set.
+parsed output reproduces the bytes.  Each output shape is written from one
+format string with the bytes of json.dumps(obj, indent=2), so json, whose
+encoder runs in pure Python once an indent is set, is not imported.
 
 A plain `check` or `witness` argv (each option once, as its own word
 followed by its value) is read without argparse; see _plain_args.  argparse
@@ -40,7 +40,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-# argparse, json, the bundles module and the oracle are imported in the
+# argparse, the bundles module and the oracle are imported in the
 # branches that use them, so a one-shot call does not pay for what it does
 # not run.
 from .lattice import Family
@@ -118,7 +118,9 @@ def _parse_t_list(text: str) -> list[int]:
     return out
 
 
-def _run_oracle(q: ModuliQuery, w: Optional[Witness]) -> dict:
+def _run_oracle(q: ModuliQuery, w: Optional[Witness]):
+    # The SearchBounds searched, in which a witness was found exactly when
+    # `w` is one: any other outcome raises InternalInconsistency.
     from .oracle import (SearchBounds, default_bounds, enumerate_witnesses,
                          verify_witness)
     bounds = default_bounds(q)
@@ -147,98 +149,87 @@ def _run_oracle(q: ModuliQuery, w: Optional[Witness]) -> dict:
         raise InternalInconsistency(
             "oracle search within %r disagrees with the formulas at %r"
             % (bounds, q))
-    return {
-        "bounds": {"max_a": bounds.max_a, "max_b": bounds.max_b,
-                   "max_e": bounds.max_e},
-        "witness_found": bool(hits),
-        "agrees": True,
-    }
+    return bounds
 
 
-def _report_dict(rep: ModuliReport) -> dict:
-    # json writes the witness and the notes, both tuples, as arrays
-    obj = rep._asdict()
-    obj["family"] = rep.family.value
-    del obj["halved"]
-    obj["threshold_notes"] = rep.threshold_notes
-    return obj
+# JSON output is written from these formats, with the bytes of
+# json.dumps(obj, indent=2).  No value needs escaping: each string is a
+# Family or SurfaceKind value or a threshold note, printable ASCII without
+# '"' or '\\', and a report has two or more notes (a test checks both).
+_FLAGS = ("false", "true")
+_TRIPLE_JSON = "[\n    %d,\n    %d,\n    %d\n  ]"
+_NOTE_SEP = '",\n    "'
+_REPORT_JSON = """{
+  "family": "%s",
+  "n": %d,
+  "d": %d,
+  "t": %d,
+  "non_empty": %s,
+  "components": %d,
+  "witness": %s,
+  "bpf_some_component": %s,
+  "va_some_component": %s,
+  "fujita_power": %d,
+  "applies_to_all_components": %s,
+  "threshold_notes": [
+    "%s"
+  ]%s
+}"""
+_WITNESS_JSON = """{
+  "family": "%s",
+  "n": %d,
+  "d": %d,
+  "t": %d,
+  "non_empty": %s,
+  "witness": %s%s
+}
+"""
+# the last member of a check or witness object under --oracle
+_ORACLE_JSON = """,
+  "oracle": {
+    "bounds": {
+      "max_a": %d,
+      "max_b": %d,
+      "max_e": %d
+    },
+    "witness_found": %s,
+    "agrees": true
+  }"""
+_KVA_JSON = """{
+  "surface": "%s",
+  "a": %d,
+  "e": %d,
+  "max_k_very_ample": %d%s
+}
+"""
+_KVA_N_JSON = """,
+  "n": %d,
+  "induced_bpf": %s,
+  "induced_very_ample": %s"""
+
+_REPORT_HUMAN = """query: family=%s n=%d d=%d t=%d
+non-empty: %s
+components: %d
+witness: %s
+base point free on some component: %s
+very ample on some component: %s
+applies to all components: %s
+note: %s
+%s"""
+_ORACLE_HUMAN = ("oracle: agrees (witness found: %s; "
+                 "bounds a<=%d |b|<=%d e<=%d)\n")
+_YESNO = ("no", "yes")
 
 
-def _json_text(obj, pad: str = "\n") -> str:
-    # The text of json.dumps(obj, indent=2) for the types the commands emit:
-    # dicts with str keys, lists and tuples (NamedTuples too), str, int, bool
-    # and None.  Anything else, a float or a str subclass included, raises
-    # TypeError.  `pad` is the newline and indentation before obj's own
-    # closing bracket.  With an indent json falls back to its pure-Python
-    # encoder; only its string quoting, which is C, is used here.
-    from json.encoder import encode_basestring_ascii as quote
-
-    def text(o, pad: str) -> str:
-        # leaves by exact type; containers, NamedTuples included, by kind
-        cls = type(o)
-        if cls is str:
-            return quote(o)
-        if cls is int:
-            return int.__repr__(o)
-        if cls is bool:
-            return "true" if o else "false"
-        if o is None:
-            return "null"
-        inner = pad + "  "
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            return "{%s%s%s}" % (inner, ("," + inner).join(
-                [quote(k) + ": " + text(v, inner) for k, v in o.items()]), pad)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            return "[%s%s%s]" % (inner, ("," + inner).join(
-                [text(v, inner) for v in o]), pad)
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % cls.__name__)
-
-    return text(obj, pad)
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(_json_text(obj) + "\n")
-
-
-def _emit_json_array(objs: Iterator[dict]) -> None:
-    # the bytes of _emit_json(list(objs)) for a non-empty objs, written one
-    # element at a time
-    items = (_json_text(obj, "\n  ") for obj in objs)
-    sys.stdout.write("[\n  " + next(items))
-    sys.stdout.writelines(",\n  " + item for item in items)
-    sys.stdout.write("\n]\n")
-
-
-def _yesno(flag: bool) -> str:
-    return "yes" if flag else "no"
-
-
-def _print_report_human(rep: ModuliReport, oracle: Optional[dict]) -> None:
-    print("query: family=%s n=%d d=%d t=%d"
-          % (rep.family.value, rep.n, rep.d, rep.t))
-    print("non-empty: %s" % _yesno(rep.non_empty))
-    print("components: %d" % rep.components)
-    if rep.witness is None:
-        print("witness: none")
-    else:
-        print("witness: a=%d b=%d e=%d" % rep.witness)
-    print("base point free on some component: %s"
-          % _yesno(rep.bpf_some_component))
-    print("very ample on some component: %s" % _yesno(rep.va_some_component))
-    print("applies to all components: %s"
-          % _yesno(rep.applies_to_all_components))
-    for note in rep.threshold_notes:
-        print("note: %s" % note)
-    if oracle is not None:
-        print("oracle: agrees (witness found: %s; bounds a<=%d |b|<=%d e<=%d)"
-              % (_yesno(oracle["witness_found"]),
-                 oracle["bounds"]["max_a"], oracle["bounds"]["max_b"],
-                 oracle["bounds"]["max_e"]))
+def _report_json(rep: ModuliReport, oracle: str = "") -> str:
+    # the report's JSON object with `oracle` as its last member and no final
+    # newline, since a table writes it as an element
+    (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
+     _) = rep
+    return _REPORT_JSON % (
+        family.value, n, d, t, _FLAGS[non_empty], components,
+        "null" if w is None else _TRIPLE_JSON % w, _FLAGS[bpf], _FLAGS[va],
+        fujita, _FLAGS[every], _NOTE_SEP.join(rep.threshold_notes), oracle)
 
 
 def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
@@ -263,14 +254,21 @@ def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
 def _cmd_check(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     rep = report(q)
-    oracle = _run_oracle(q, rep.witness) if args.oracle else None
+    bounds = _run_oracle(q, rep.witness) if args.oracle else None
     if args.format == "json":
-        obj = _report_dict(rep)
-        if oracle is not None:
-            obj["oracle"] = oracle
-        _emit_json(obj)
+        oracle = ("" if bounds is None else
+                  _ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty]))
+        sys.stdout.write(_report_json(rep, oracle) + "\n")
     else:
-        _print_report_human(rep, oracle)
+        w = rep.witness
+        sys.stdout.write(_REPORT_HUMAN % (
+            rep.family.value, rep.n, rep.d, rep.t, _YESNO[rep.non_empty],
+            rep.components, "none" if w is None else "a=%d b=%d e=%d" % w,
+            _YESNO[rep.bpf_some_component], _YESNO[rep.va_some_component],
+            _YESNO[rep.applies_to_all_components],
+            "\nnote: ".join(rep.threshold_notes),
+            "" if bounds is None else
+            _ORACLE_HUMAN % (_YESNO[rep.non_empty], *bounds)))
     return 0
 
 
@@ -282,7 +280,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
               for t in sorted(set(args.t))]
     reps = itertools.chain.from_iterable(sweeps)
     if args.format == "json":
-        _emit_json_array(map(_report_dict, reps))
+        # each element is a check's object one level deeper; no value
+        # holds a newline, so indenting every line indents the object
+        items = (_report_json(r).replace("\n", "\n  ") for r in reps)
+        sys.stdout.write("[\n  " + next(items))
+        sys.stdout.writelines(",\n  " + item for item in items)
+        sys.stdout.write("\n]\n")
     elif args.format == "csv":
         sys.stdout.write(",".join(_CSV_HEADER) + "\n")
         for sweep in sweeps:
@@ -294,9 +297,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         for r in reps:
             w = "-" if r.witness is None else ("%d,%d,%d" % r.witness)
             print("%4d %5d %6s %5d %8s %4s %4s %4s" %
-                  (r.t, r.d, _yesno(not r.non_empty), r.components, w,
-                   _yesno(r.bpf_some_component), _yesno(r.va_some_component),
-                   _yesno(r.applies_to_all_components)))
+                  (r.t, r.d, _YESNO[not r.non_empty], r.components, w,
+                   _YESNO[r.bpf_some_component], _YESNO[r.va_some_component],
+                   _YESNO[r.applies_to_all_components]))
     return 0
 
 
@@ -308,13 +311,10 @@ def _cmd_kva(args: argparse.Namespace) -> int:
     # before either format writes, so a bad n exits 1 with nothing printed
     status = None if args.n is None else induced_bundle_status(spec, args.n)
     if args.format == "json":
-        obj = {"surface": spec.surface.value, "a": spec.a, "e": spec.e,
-               "max_k_very_ample": k}
-        if status is not None:
-            obj["n"] = args.n
-            obj["induced_bpf"] = status.bpf
-            obj["induced_very_ample"] = status.very_ample
-        _emit_json(obj)
+        induced = ("" if status is None else _KVA_N_JSON % (
+            args.n, _FLAGS[status.bpf], _FLAGS[status.very_ample]))
+        sys.stdout.write(_KVA_JSON % (spec.surface.value, spec.a, spec.e, k,
+                                      induced))
     else:
         print("surface=%s a=%d e=%d" % (spec.surface.value, spec.a, spec.e))
         print("max k with L k-very ample: %d" % k)
@@ -322,30 +322,27 @@ def _cmd_kva(args: argparse.Namespace) -> int:
             print("negative bound: L is not base point free")
         if status is not None:
             print("induced bundle at n=%d: base point free: %s, "
-                  "very ample: %s" % (args.n, _yesno(status.bpf),
-                                      _yesno(status.very_ample)))
+                  "very ample: %s" % (args.n, _YESNO[status.bpf],
+                                      _YESNO[status.very_ample]))
     return 0
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     w = witness(q)
-    oracle = _run_oracle(q, w) if args.oracle else None
+    bounds = _run_oracle(q, w) if args.oracle else None
     if args.format == "json":
-        obj = {
-            "family": q.family.value, "n": q.n, "d": q.d, "t": q.t,
-            "non_empty": w is not None,
-            "witness": w,
-        }
-        if oracle is not None:
-            obj["oracle"] = oracle
-        _emit_json(obj)
+        oracle = ("" if bounds is None else
+                  _ORACLE_JSON % (*bounds, _FLAGS[w is not None]))
+        sys.stdout.write(_WITNESS_JSON % (
+            q.family.value, q.n, q.d, q.t, _FLAGS[w is not None],
+            "null" if w is None else _TRIPLE_JSON % w, oracle))
     else:
         if w is None:
             print("witness: none (moduli space is empty)")
         else:
             print("witness: a=%d b=%d e=%d" % w)
-        if oracle is not None:
+        if bounds is not None:
             print("oracle: agrees")
     return 0
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from hkmoduli import cli, moduli
 from hkmoduli.lattice import Family
-from hkmoduli.moduli import (InternalInconsistency, ModuliReport, Witness,
-                             reports)
+from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
+                             ModuliReport, reports)
 
 
 def divisors(m):
@@ -437,26 +437,166 @@ def test_check_validates_the_query_once(capsys, monkeypatch):
         assert len(calls) == 1, fmt
 
 
-# ---------------------------------------------------------------- json text
+# ------------------------------------------------------------ output bytes
 
-@pytest.mark.parametrize("obj", [
-    {"oracle": {"bounds": {"max_a": 2, "max_b": 4, "max_e": 51},
-                "witness_found": True, "agrees": True}, "n": 2},
-    [], {}, [[], {}, [{}]], {"a": [], "b": {}},
-    None, True, False, [None, True, False],
-    -1, 0, -(2 ** 70), 2 ** 64 + 1, [-5, 2 ** 80],
-    Witness(8, 3, 1), {"witness": Witness(1000, 1, 1), "none": None},
-    "plain", "", "tau = 9/4 \u00e9\u4e2d\U0001f600", 'say "hi"', "back\\slash",
-    "line\nbreak", "ctrl\x01\x1f\x7f", {"k\u00e9y \"q\"\n": ["\\", "\t"]},
-], ids=repr)
-def test_json_text_equals_json_dumps_indent_2(obj):
-    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+def _needs_no_escaping(text):
+    # json.dumps writes such a string as '"' + text + '"'
+    return (text.isascii() and text.isprintable()
+            and '"' not in text and "\\" not in text)
 
 
-def test_json_text_refuses_other_types():
-    for obj in (1.5, [1.0], {"x": float("nan")}, Family.K3HILB):
-        with pytest.raises(TypeError):
-            cli._json_text(obj)
+def test_output_strings_need_no_escaping():
+    # cli writes every string into its formats between quotes as it is
+    from hkmoduli.bundles import SurfaceKind
+
+    notes, seen = set(), set()
+    for family in Family:
+        for n in range(2, 41):
+            two_m = 2 * family.m(n)
+            for t in range(1, 61):
+                if two_m % t:
+                    continue
+                for rep in reports(family, n, t, range(1, 121)):
+                    assert len(rep.threshold_notes) >= 2
+                    notes.update(rep.threshold_notes)
+                    seen.add("halved" if rep.halved else "not halved")
+    assert seen == {"halved", "not halved"}
+    values = [f.value for f in Family] + [s.value for s in SurfaceKind]
+    for text in sorted(notes) + values:
+        assert _needs_no_escaping(text), text
+
+
+# (family, n) at n = 2, 3, 9, 10 and 17, each with every t | 2m up to 16
+# and d = 1..60: t = 1 and t = 2, empty and non-empty, halved and not, one
+# and two components
+_GRID = [(family, n) for family in Family for n in (2, 3, 9, 10, 17)]
+_D_RANGE = range(1, 61)
+
+
+def _grid_reports(family, n):
+    return [rep for t in range(1, 17) if 2 * family.m(n) % t == 0
+            for rep in reports(family, n, t, _D_RANGE)]
+
+
+def _report_ref(rep):
+    # the check object: the report's fields but `halved`, then the notes
+    obj = rep._asdict()
+    obj["family"] = rep.family.value
+    del obj["halved"]
+    obj["threshold_notes"] = rep.threshold_notes
+    return obj
+
+
+def test_grid_covers_every_kind_of_cell():
+    seen = set()
+    for rep in (rep for cell in _GRID for rep in _grid_reports(*cell)):
+        seen.add("t = %d" % rep.t if rep.t <= 2 else "t > 2")
+        seen.add("non-empty" if rep.non_empty else "empty")
+        seen.add("halved" if rep.halved else "not halved")
+        seen.add("components = %d" % min(rep.components, 2))
+    assert seen == {"t = 1", "t = 2", "t > 2", "non-empty", "empty", "halved",
+                    "not halved", "components = 0", "components = 1",
+                    "components = 2"}
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("family, n", _GRID)
+def test_one_query_json_is_json_dumps_of_the_answer(capsys, monkeypatch,
+                                                    family, n, oracle):
+    from hkmoduli.oracle import default_bounds
+
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    for rep in _grid_reports(family, n):
+        argv = ["--family", rep.family.value, "--n", str(rep.n),
+                "--d", str(rep.d), "--t", str(rep.t), "--format", "json"]
+        check = _report_ref(rep)
+        short = {key: check[key]
+                 for key in ("family", "n", "d", "t", "non_empty", "witness")}
+        if oracle:
+            argv.append("--oracle")
+            bounds = default_bounds(ModuliQuery(*rep[:4]))
+            check["oracle"] = short["oracle"] = {
+                "bounds": bounds._asdict(), "witness_found": rep.non_empty,
+                "agrees": True}
+        for command, obj in (("check", check), ("witness", short)):
+            expected = (0, json.dumps(obj, indent=2) + "\n", "")
+            assert run(capsys, command, *argv) == expected, (command, argv)
+
+
+@pytest.mark.parametrize("family, n", _GRID)
+def test_table_json_is_json_dumps_of_the_list(capsys, family, n):
+    reps = _grid_reports(family, n)
+    ts = sorted({rep.t for rep in reps}, reverse=True)
+    code, out, err = run(capsys, "table", "--family", family.value,
+                         "--n", str(n), "--d-range", "1..60",
+                         "--t", ",".join(map(str, ts)), "--format", "json")
+    ref = [_report_ref(rep) for rep in reps]
+    assert (code, out, err) == (0, json.dumps(ref, indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("surface", cli._SURFACES)
+def test_kva_json_is_json_dumps_of_the_answer(capsys, surface):
+    from hkmoduli.bundles import (BundleSpec, SurfaceKind,
+                                  induced_bundle_status, max_k_very_ample)
+
+    for a in range(1, 5):
+        for e in range(1, 6):
+            spec = BundleSpec(SurfaceKind(surface), a, e)
+            argv = ["kva", "--surface", surface, "--a", str(a),
+                    "--e", str(e), "--format", "json"]
+            ref = {"surface": surface, "a": a, "e": e,
+                   "max_k_very_ample": max_k_very_ample(spec)}
+            expected = (0, json.dumps(ref, indent=2) + "\n", "")
+            assert run(capsys, *argv) == expected, argv
+            for n in (2, 3, 6):
+                status = induced_bundle_status(spec, n)
+                ref.update(n=n, induced_bpf=status.bpf,
+                           induced_very_ample=status.very_ample)
+                expected = (0, json.dumps(ref, indent=2) + "\n", "")
+                assert run(capsys, *argv, "--n", str(n)) == expected
+
+
+def test_check_human_golden(capsys):
+    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "17",
+                         "--d", "48", "--t", "8", "--oracle")
+    assert (code, err) == (0, "")
+    assert out == (
+        "query: family=k3n n=17 d=48 t=8\n"
+        "non-empty: yes\n"
+        "components: 2\n"
+        "witness: a=8 b=1 e=1\n"
+        "base point free on some component: no\n"
+        "very ample on some component: no\n"
+        "applies to all components: no\n"
+        "note: tau = t^2/(2(t-1)) = 32/7\n"
+        "note: base point free on some component iff d >= 464/7 (minimal "
+        "integer d = 67); d = 48: not satisfied\n"
+        "note: very ample on some component iff d >= 496/7 (minimal integer "
+        "d = 71); d = 48: not satisfied\n"
+        "note: component count used exact halving (rho = 0 case)\n"
+        "oracle: agrees (witness found: yes; bounds a<=8 |b|<=64 e<=73776)\n")
+    code, out, err = run(capsys, "check", "--family", "kum", "--n", "5",
+                         "--d", "10", "--t", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "query: family=kum n=5 d=10 t=1\n"
+        "non-empty: yes\n"
+        "components: 1\n"
+        "witness: a=1 b=1 e=16\n"
+        "base point free on some component: yes\n"
+        "very ample on some component: yes\n"
+        "applies to all components: yes\n"
+        "note: t = 1: base point free on some component iff d >= 3\n"
+        "note: very ample on some component iff d >= 9; d = 10: satisfied\n"
+        "note: H^7 is very ample on the base point free component\n")
+    code, out, err = run(capsys, "check", "--family", "kum", "--n", "3",
+                         "--d", "1", "--t", "4", "--oracle")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:4] == ["query: family=kum n=3 d=1 t=4", "non-empty: no",
+                         "components: 0", "witness: none"]
+    assert lines[-1] == ("oracle: agrees (witness found: no; "
+                         "bounds a<=4 |b|<=16 e<=1025)")
 
 
 # -------------------------------------------------------- errors and bounds

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from hkmoduli import oracle
 from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
-from hkmoduli.moduli import ModuliQuery, Witness, is_nonempty, witness
+from hkmoduli.moduli import (ModuliQuery, Witness, component_count,
+                             is_nonempty, witness)
 from hkmoduli.oracle import (
     SearchBounds,
     default_bounds,
@@ -41,6 +42,15 @@ def test_orbit_count_pins():
     assert orbit_count(ModuliQuery(K3, 2, 2, 2)) == 0
     # t = 3 does not divide 2m = 2, although b = 1 solves b^2*m = -d mod 9
     assert orbit_count(ModuliQuery(K3, 2, 8, 3)) == 0
+
+
+def test_component_count_needs_the_full_p_part_of_w():
+    # gcd(2d, 2m) = 32, g = 4, w = gcd(g, t) = 4 and t1 = t/w = 2, so
+    # w_plus is the full 2-part 2^2 of w.  That matters only when p^2 | w and
+    # p | t1, which needs 32 | 2m at p = 2: outside the n <= 10 grid of
+    # criterion 10.  A count that keeps one factor p instead of p^k reads 1.
+    q = ModuliQuery(K3, 17, 48, 8)
+    assert component_count(q) == orbit_count(q) == 2
 
 
 def test_enumerate_contains_known_classes():
