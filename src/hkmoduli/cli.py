@@ -56,10 +56,10 @@ __all__ = ["main"]
 # which is also written when no parser has been built
 _PROG = "hkmoduli"
 
-# The estimate counts the pairs (a, b) in the bounds, 2*t^2 + 1 with the
-# default bounds, which reach the cap near t = 3163.  The oracle tests one
-# period of b per a, t^2 values there at 0.14-0.16 us each (Python 3.11):
-# the largest default search allowed, t = 3162, takes 1.4-1.6 s.
+# The estimate counts pairs (a, b), 2*t^2 + 1 with the default bounds: the
+# cap is reached near t = 3163.  The oracle tests at most 2t of them when
+# t | 2m (t = 3162: ~1 ms), but checks every hit, and half the pairs can be
+# hits, so pairs bound the work and tests do not (README, "--oracle").
 ORACLE_MAX_CANDIDATES = 20_000_000
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"

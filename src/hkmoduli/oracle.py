@@ -8,14 +8,16 @@ polarization data, a is restricted to a >= 1 while b runs over both signs.
 
 Only multiples of t are tried for a: (v, g) = a, because f.g = 1, g^2 = 0
 and delta is orthogonal to U, and div(v) divides every pairing of v, so
-div(v) = t forces t | a.  For each a, only one period of b is tested: the
-condition a^2 | d + b^2*m depends on b only through b mod a^2, since
-(b + a^2)^2 = b^2 (mod a^2), so the hits past the lowest a^2 values of b
-are translates of the hits among them.  A search therefore makes at most
-a^2 tests per a, which is t^2 with the default bounds.  Only that
-congruence is used, a fact about any modulus: nothing from `moduli`,
-neither t | 2m nor the residue criterion, so the oracle still does not
-lean on the lemma below that puts the smallest residue b in [1, t].
+div(v) = t forces t | a.  For each a, only one period of b is tested: with
+h = gcd(m, a^2) and P = a^2/h, the condition a^2 | d + b^2*m depends on b
+only through b mod P, since (b + P)^2*m - b^2*m = 2*b*a^2*(m/h) +
+a^2*(a^2/h)*(m/h) is a multiple of a^2.  So the hits past the lowest P
+values of b are translates of the hits among them.  A search makes at most
+P tests per a; when t | 2m, h >= t/2 at a = t, so a default-bounds search
+makes at most 2t tests.  Only that identity is used, which holds for any a
+and m: nothing from `moduli`, neither t | 2m nor the residue criterion, so
+the oracle still does not lean on the lemma below that puts the smallest
+residue b in [1, t].
 
 For a non-empty space the explicit witness construction produces a class
 with a = t, 1 <= b <= t and e = (d + b^2*m)/t^2 <= d + m.  The default
@@ -96,20 +98,23 @@ def enumerate_witnesses(
 def _square_hits(m, d, asq, max_b):
     """The b in [-max_b, max_b] with asq | d + b^2*m, in ascending order.
 
-    Whether b is a hit depends only on b mod asq, since (b + asq)^2 =
-    b^2 (mod asq).  So only the lowest min(asq, 2*max_b + 1) values of b,
-    the window, are tested; every later hit is a translate b + k*asq of a
-    hit in the window, and the translates by k*asq all lie below those by
-    (k + 1)*asq.  Hits are yielded as they are found, so a caller that
-    stops early pays only for the window up to its stop.
+    Whether b is a hit depends only on b mod P, P = asq / gcd(m, asq):
+    (b + P)^2*m - b^2*m = 2*b*P*m + P^2*m, and both terms are multiples of
+    asq, because P*m = asq*(m/h) and P^2*m = asq*P*(m/h) with h = gcd(m, asq).
+    So only the lowest min(P, 2*max_b + 1) values of b, the window, are
+    tested; every later hit is a translate b + k*P of a hit in the window,
+    and the translates by k*P all lie below those by (k + 1)*P.  Hits are
+    yielded as they are found, so a caller that stops early pays only for
+    the window up to its stop.
     """
+    period = asq // gcd(m, asq)
     target = -d % asq
     roots = []
-    for b in range(-max_b, min(asq - max_b, max_b + 1)):
+    for b in range(-max_b, min(period - max_b, max_b + 1)):
         if b * b * m % asq == target:
             roots.append(b)
             yield b
-    for shift in range(asq, 2 * max_b + 1, asq):
+    for shift in range(period, 2 * max_b + 1, period):
         for b in roots:
             b += shift
             if b > max_b:

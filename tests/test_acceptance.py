@@ -75,7 +75,7 @@ def test_criterion_2_nonemptiness_matches_oracle_search():
     offenders = []
     bad_witnesses = []
     queries = 0
-    for q in _query_grid(10):
+    for q in _query_grid(30):
         formula = is_nonempty(q)
         oracle = bool(enumerate_witnesses(q, stop_after=1))
         if formula != oracle:

@@ -92,20 +92,25 @@ def test_check_with_oracle(capsys):
     assert obj["oracle"]["bounds"] == {"max_a": 2, "max_b": 4, "max_e": 51}
 
 
-def test_check_with_oracle_at_large_t(capsys):
-    # t = 1000 | 2m = 2000.  d = 1 is empty (1000 must divide d);
-    # d = 10^6 - 1000 = -(1^2 * m) mod t^2 is non-empty, witness (1000, 1, 1).
-    for d, non_empty in (("1", False), ("999000", True)):
-        code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "1001",
-                           "--d", d, "--t", "1000", "--format", "json",
-                           "--oracle")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["non_empty"] is non_empty
-        assert obj["oracle"]["agrees"] is True
-        assert obj["oracle"]["witness_found"] is non_empty
-        assert obj["oracle"]["bounds"]["max_a"] == 1000
-    assert obj["witness"] == [1000, 1, 1]
+def test_check_with_oracle_at_large_t(capsys, monkeypatch):
+    # t = 1000 | 2m = 2000, and t = 3162 | 2m = 3162, the largest t whose
+    # default search, 2*t^2 + 1 pairs, is under the cap; gcd(m, t^2) = m
+    # there, so the oracle tests a window of 2t values of b, not t^2.
+    # d = 1 is empty (t must divide 2d); d = t^2 - m = -(1^2 * m) mod t^2 is
+    # non-empty, witness (t, 1, 1).
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    for n, t in ((1001, 1000), (1582, 3162)):
+        for d, non_empty in ((1, False), (t * t - n + 1, True)):
+            code, out, _ = run(capsys, "check", "--family", "k3n",
+                               "--n", str(n), "--d", str(d), "--t", str(t),
+                               "--format", "json", "--oracle")
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["non_empty"] is non_empty
+            assert obj["oracle"]["agrees"] is True
+            assert obj["oracle"]["witness_found"] is non_empty
+            assert obj["oracle"]["bounds"]["max_a"] == t
+        assert obj["witness"] == [t, 1, 1]
 
 
 # ------------------------------------------------------------------- table

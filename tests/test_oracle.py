@@ -179,18 +179,22 @@ def _enumerate_every_a(q, bounds=None):
 
 
 def _window_bounds(q):
-    """Bounds that place max_b against the period a^2 of b mod a^2."""
+    """Bounds that place max_b against two periods of b at a = t: t^2, and
+    the one the oracle tests, P = t^2 / gcd(m, t^2)."""
     t = q.t
-    tsq = t * t
-    return (
-        # no b but 0; under half a period; one period less one
-        SearchBounds(t, 0, 40),
-        SearchBounds(t, (tsq - 1) // 2, 40),
-        SearchBounds(t, tsq - 1, 40),
-        # several translates of a window that is not a whole number of
-        # periods, with a max_e that cuts the range of b off midway
-        SearchBounds(t, 3 * tsq + 2, q.d + 2 * tsq * q.family.m(q.n)),
-    )
+    m = q.family.m(q.n)
+    wide_e = q.d + 2 * t * t * m
+    bounds = [SearchBounds(t, 0, 40)]   # no b but 0
+    for period in (t * t, t * t // gcd(m, t * t)):
+        bounds += (
+            # under half a period; one period less one
+            SearchBounds(t, period // 2, 40),
+            SearchBounds(t, period - 1, 40),
+            # several translates of a window that is not a whole number of
+            # periods, with a max_e that cuts the range of b off midway
+            SearchBounds(t, 3 * period + 2, wide_e),
+        )
+    return bounds
 
 
 def test_multiples_of_t_match_every_a_reference():
@@ -250,3 +254,33 @@ def test_only_multiples_of_t_reach_the_lattice(monkeypatch):
             assert all(c.a % q.t == 0 for c in seen), (q, bounds, seen[:5])
             checked += len(seen)
     assert checked
+
+
+def _every_b(m, d, asq, max_b):
+    return [b for b in range(-max_b, max_b + 1) if (d + b * b * m) % asq == 0]
+
+
+def test_square_hits_match_every_b():
+    # m sharing a large factor with asq (m = asq, asq / 4, prime-power
+    # multiples of a) and m prime to asq, with max_b against the period
+    cases = hits = 0
+    for a in (1, 2, 3, 4, 6, 8, 9, 12, 16, 27):
+        asq = a * a
+        ms = {asq, max(1, asq // 4), 2 * asq, a, 2 * a, 7}
+        ms |= {p ** k for p in (2, 3) if a % p == 0 for k in range(1, 7)}
+        ms |= {a * p ** k for p in (2, 3) for k in range(3)}
+        ms.add(next(k for k in range(5, 100) if gcd(k, asq) == 1))
+        for m in sorted(ms):
+            period = asq // gcd(m, asq)
+            # every d that makes b = 0..11 a hit, and three that may not
+            ds = {(-b * b * m) % asq or asq for b in range(12)} | {1, 2, 3}
+            for d in sorted(ds):
+                for max_b in {0, 1, period // 2, period - 1, period,
+                              3 * period + 2, asq + 1}:
+                    got = list(oracle._square_hits(m, d, asq, max_b))
+                    assert got == _every_b(m, d, asq, max_b), (m, d, asq,
+                                                                max_b)
+                    cases += 1
+                    hits += bool(got)
+    assert hits and hits < cases
+
