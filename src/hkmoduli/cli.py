@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 # not run.
 from .lattice import Family
 from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
-                     Witness, report, reports, witness)
+                     Witness, _bounds, _notes_text, report, reports, witness)
 
 if TYPE_CHECKING:
     import argparse
@@ -58,8 +58,8 @@ _PROG = "hkmoduli"
 
 # The estimate counts pairs (a, b), 2*t^2 + 1 with the default bounds: the
 # cap is reached near t = 3163.  The oracle tests at most 2t of them when
-# t | 2m (t = 3162: ~1 ms), but checks every hit, and half the pairs can be
-# hits, so pairs bound the work and tests do not (README, "--oracle").
+# t | 2m (t = 3162: ~1 ms) and none otherwise, but checks every hit, and half
+# the pairs can be hits, so pairs bound the work, tests do not (README).
 ORACLE_MAX_CANDIDATES = 20_000_000
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
@@ -118,22 +118,21 @@ def _parse_t_list(text: str) -> list[int]:
     return out
 
 
-def _run_oracle(q: ModuliQuery, w: Optional[Witness]):
+def _run_oracle(q: ModuliQuery, w: Optional[Witness], count: Optional[int]):
     # The SearchBounds searched, in which a witness was found exactly when
-    # `w` is one: any other outcome raises InternalInconsistency.
+    # `w` is one and whose orbit count is `count` (unless None): any other
+    # outcome raises InternalInconsistency.
     from .oracle import (SearchBounds, default_bounds, enumerate_witnesses,
-                         verify_witness)
+                         orbit_count, verify_witness)
     bounds = default_bounds(q)
     raw = os.environ.get("HK_ORACLE_BOUNDS")
     if raw:
         try:
-            parts = [int(x) for x in raw.split(",")]
-            if len(parts) != 3:
-                raise ValueError
-        except ValueError:
+            parts = SearchBounds(*map(int, raw.split(",")))
+        except (TypeError, ValueError):  # not three integers
             raise ValueError(
                 "HK_ORACLE_BOUNDS must be MAX_A,MAX_B,MAX_E, got %r" % (raw,))
-        bounds = SearchBounds(*(max(a, b) for a, b in zip(bounds, parts)))
+        bounds = SearchBounds(*map(max, bounds, parts))
     # the oracle tries only the multiples of t up to max_a
     candidates = (bounds.max_a // q.t) * (2 * bounds.max_b + 1)
     if candidates > ORACLE_MAX_CANDIDATES:
@@ -141,14 +140,12 @@ def _run_oracle(q: ModuliQuery, w: Optional[Witness]):
             "oracle search with a <= %d, |b| <= %d would scan about %d "
             "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
             % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
-    hits = enumerate_witnesses(q, bounds, stop_after=1)
-    agrees = bool(hits) == (w is not None)
-    if w is not None and not verify_witness(w, q):
-        agrees = False
-    if not agrees:
+    if (bool(enumerate_witnesses(q, bounds, stop_after=1)) != (w is not None)
+            or w and not verify_witness(w, q)
+            or count is not None and count != orbit_count(q)):
         raise InternalInconsistency(
-            "oracle search within %r disagrees with the formulas at %r"
-            % (bounds, q))
+            "oracle (search within %r, orbit count) disagrees with the "
+            "formulas at %r" % (bounds, q))
     return bounds
 
 
@@ -225,11 +222,12 @@ def _report_json(rep: ModuliReport, oracle: str = "") -> str:
     # the report's JSON object with `oracle` as its last member and no final
     # newline, since a table writes it as an element
     (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
-     _) = rep
+     halved) = rep
     return _REPORT_JSON % (
         family.value, n, d, t, _FLAGS[non_empty], components,
         "null" if w is None else _TRIPLE_JSON % w, _FLAGS[bpf], _FLAGS[va],
-        fujita, _FLAGS[every], _NOTE_SEP.join(rep.threshold_notes), oracle)
+        fujita, _FLAGS[every], _notes_text(t, d, *_bounds(family, n, t),
+                                           fujita, halved, _NOTE_SEP), oracle)
 
 
 def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
@@ -254,21 +252,23 @@ def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
 def _cmd_check(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     rep = report(q)
-    bounds = _run_oracle(q, rep.witness) if args.oracle else None
+    bounds = (_run_oracle(q, rep.witness, rep.components)
+              if args.oracle else None)
     if args.format == "json":
         oracle = ("" if bounds is None else
                   _ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty]))
         sys.stdout.write(_report_json(rep, oracle) + "\n")
     else:
-        w = rep.witness
+        (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
+         halved) = rep
         sys.stdout.write(_REPORT_HUMAN % (
-            rep.family.value, rep.n, rep.d, rep.t, _YESNO[rep.non_empty],
-            rep.components, "none" if w is None else "a=%d b=%d e=%d" % w,
-            _YESNO[rep.bpf_some_component], _YESNO[rep.va_some_component],
-            _YESNO[rep.applies_to_all_components],
-            "\nnote: ".join(rep.threshold_notes),
+            family.value, n, d, t, _YESNO[non_empty], components,
+            "none" if w is None else "a=%d b=%d e=%d" % w, _YESNO[bpf],
+            _YESNO[va], _YESNO[every],
+            _notes_text(t, d, *_bounds(family, n, t), fujita, halved,
+                        "\nnote: "),
             "" if bounds is None else
-            _ORACLE_HUMAN % (_YESNO[rep.non_empty], *bounds)))
+            _ORACLE_HUMAN % (_YESNO[non_empty], *bounds)))
     return 0
 
 
@@ -330,7 +330,7 @@ def _cmd_kva(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     w = witness(q)
-    bounds = _run_oracle(q, w) if args.oracle else None
+    bounds = _run_oracle(q, w, None) if args.oracle else None
     if args.format == "json":
         oracle = ("" if bounds is None else
                   _ORACLE_JSON % (*bounds, _FLAGS[w is not None]))

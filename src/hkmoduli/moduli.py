@@ -204,31 +204,9 @@ class ThresholdDecision(NamedTuple):
     @property
     def notes(self) -> tuple[str, ...]:
         """The decision in words, rendered from the integers when read."""
-        t, d = self.t, self.d
-        if t == 1:
-            # at t = 1 the base point free bound is 1 (every d) or 3
-            notes = ["t = 1: base point free for every d on some component"
-                     if self.d_min_bpf == 1 else
-                     "t = 1: base point free on some component iff d >= %d"
-                     % self.d_min_bpf,
-                     "very ample on some component iff d >= %d; d = %d: %s"
-                     % (self.d_min_va, d, _satisfied(self.very_ample))]
-        else:
-            den = 2 * (t - 1)
-            notes = ["tau = t^2/(2(t-1)) = %s" % _ratio(t * t, den)]
-            for name, num, d_min, ok in (
-                    ("base point free", self.bpf_num, self.d_min_bpf,
-                     self.bpf),
-                    ("very ample", self.va_num, self.d_min_va,
-                     self.very_ample)):
-                notes.append(
-                    "%s on some component iff d >= %s (minimal integer d = "
-                    "%d); d = %d: %s" % (name, _ratio(num, den), d_min, d,
-                                         _satisfied(ok)))
-        if self.bpf:
-            notes.append("H^%d is very ample on the base point free "
-                         "component" % self.fujita_power)
-        return tuple(notes)
+        return tuple(_notes_text(self.t, self.d, max(2 * self.t - 2, 1),
+                                 self.bpf_num, self.va_num, self.fujita_power,
+                                 False, "\n").split("\n"))
 
 
 class ModuliReport(NamedTuple):
@@ -252,10 +230,10 @@ class ModuliReport(NamedTuple):
     def threshold_notes(self) -> tuple[str, ...]:
         """The threshold notes of the query, and one more when the count
         used exact halving; rendered when read."""
-        notes = _thresholds(self.family, self.n, self.d, self.t).notes
-        if self.halved:
-            notes += ("component count used exact halving (rho = 0 case)",)
-        return notes
+        family, n, d, t = self[:4]
+        return tuple(_notes_text(t, d, *_bounds(family, n, t),
+                                 self.fujita_power, self.halved,
+                                 "\n").split("\n"))
 
 
 def decompose(q: ModuliQuery) -> Decomposition:
@@ -279,9 +257,9 @@ def _decompose(m: int, d: int, t: int) -> Decomposition:
     for p, k in factorize(w):
         if t1 % p == 0:
             w_plus *= p ** k
-    # positional: keywords would double the cost of building the tuple
-    return Decomposition(big, 2 * d // big, 2 * m // big, g, w, g // w, t1,
-                         w_plus, w // w_plus)
+    # tuple.__new__: the generated __new__ costs more than twice as much
+    return tuple.__new__(Decomposition, (big, 2 * d // big, 2 * m // big, g,
+                                         w, g // w, t1, w_plus, w // w_plus))
 
 
 def _matched_case(dec: Decomposition) -> Optional[str]:
@@ -364,7 +342,8 @@ def _residue(m: int, d: int, t: int) -> Optional[int]:
     tsq = t * t
     target = (-d) % tsq
     for b in range(1, t + 1):
-        if gcd(b, t) == 1 and (b * b * m) % tsq == target:
+        # the congruence first: it rarely holds, and the unit test is a gcd
+        if (b * b * m) % tsq == target and gcd(b, t) == 1:
             return b
     return None
 
@@ -407,10 +386,6 @@ def _ratio(num: int, den: int) -> str:
     return "%d" % (num // g) if g == den else "%d/%d" % (num // g, den // g)
 
 
-def _satisfied(ok: bool) -> str:
-    return "satisfied" if ok else "not satisfied"
-
-
 def _bounds(family: Family, n: int, t: int) -> tuple[int, int, int]:
     # (den, bpf_num, va_num): the base point free and very ample bounds are
     # bpf_num/den and va_num/den, with den = 2(t-1) for t >= 2 and 1 at t = 1
@@ -433,22 +408,45 @@ def thresholds(q: ModuliQuery) -> ThresholdDecision:
     rounded in exact integers.  The notes are rendered only when read.
     """
     _validate(q)
-    return _thresholds(q.family, q.n, q.d, q.t)
-
-
-def _thresholds(family: Family, n: int, d: int, t: int) -> ThresholdDecision:
+    family, n, d, t = q
     den, bpf_num, va_num = _bounds(family, n, t)
-    return ThresholdDecision(
-        bpf=d * den >= bpf_num,
-        very_ample=d * den >= va_num,
-        fujita_power=n + 2,
-        t=t,
-        d_min_bpf=-(-bpf_num // den),
-        d_min_va=-(-va_num // den),
-        d=d,
-        bpf_num=bpf_num,
-        va_num=va_num,
-    )
+    return ThresholdDecision(d * den >= bpf_num, d * den >= va_num, n + 2, t,
+                             -(-bpf_num // den), -(-va_num // den), d,
+                             bpf_num, va_num)
+
+
+# The notes, one format for t >= 2 and one for t = 1; `_notes_text` fills in
+# the separator between two notes.  No note holds a newline.
+_NOTES = ("tau = t^2/(2(t-1)) = %s%sbase point free on some component iff "
+          "d >= %s (minimal integer d = %d); d = %d: %ssatisfied%svery ample "
+          "on some component iff d >= %s (minimal integer d = %d); d = %d: "
+          "%ssatisfied")
+_NOTES_T1 = ("t = 1: base point free %s%svery ample on some component iff "
+             "d >= %d; d = %d: %ssatisfied")
+_NOT = ("not ", "")  # the word before "satisfied", by whether d clears it
+
+
+def _notes_text(t: int, d: int, den: int, bpf_num: int, va_num: int,
+                fujita: int, halved: bool, sep: str) -> str:
+    # The notes of d at divisibility t, from the bounds bpf_num/den and
+    # va_num/den of `_bounds`, joined with sep; the H^k note follows the
+    # unmasked d*den >= bpf_num, as the words do.
+    bpf, va = d * den >= bpf_num, d * den >= va_num
+    if t == 1:  # the base point free bound is 1 (every d) or 3
+        text = _NOTES_T1 % ("for every d on some component" if bpf_num == 1
+                            else "on some component iff d >= %d" % bpf_num,
+                            sep, va_num, d, _NOT[va])
+    else:
+        text = _NOTES % (
+            _ratio(t * t, den), sep, _ratio(bpf_num, den), -(-bpf_num // den),
+            d, _NOT[bpf], sep, _ratio(va_num, den), -(-va_num // den), d,
+            _NOT[va])
+    if bpf:
+        text += ("%sH^%d is very ample on the base point free component"
+                 % (sep, fujita))
+    if halved:
+        text += sep + "component count used exact halving (rho = 0 case)"
+    return text
 
 
 def prime_power_connected(q: ModuliQuery) -> bool:

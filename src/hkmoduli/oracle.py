@@ -8,16 +8,19 @@ polarization data, a is restricted to a >= 1 while b runs over both signs.
 
 Only multiples of t are tried for a: (v, g) = a, because f.g = 1, g^2 = 0
 and delta is orthogonal to U, and div(v) divides every pairing of v, so
-div(v) = t forces t | a.  For each a, only one period of b is tested: with
+div(v) = t forces t | a.  Of those, only the a with gcd(a, 2m) = t are
+tried: a primitive class has gcd(a, b) = 1, so div(v) = gcd(a, 2*b*m) =
+gcd(a, 2m) (`lattice.divisibility`), and a cell with t not dividing 2m makes
+no test at all.  For each such a, only one period of b is tested: with
 h = gcd(m, a^2) and P = a^2/h, the condition a^2 | d + b^2*m depends on b
 only through b mod P, since (b + P)^2*m - b^2*m = 2*b*a^2*(m/h) +
 a^2*(a^2/h)*(m/h) is a multiple of a^2.  So the hits past the lowest P
 values of b are translates of the hits among them.  A search makes at most
 P tests per a; when t | 2m, h >= t/2 at a = t, so a default-bounds search
-makes at most 2t tests.  Only that identity is used, which holds for any a
-and m: nothing from `moduli`, neither t | 2m nor the residue criterion, so
-the oracle still does not lean on the lemma below that puts the smallest
-residue b in [1, t].
+makes at most 2t tests.  Only these identities of the lattice are used,
+which hold for any a, b and m: nothing from `moduli`, neither its residue
+criterion nor its counting cases, so the oracle still does not lean on the
+lemma below that puts the smallest residue b in [1, t].
 
 For a non-empty space the explicit witness construction produces a class
 with a = t, 1 <= b <= t and e = (d + b^2*m)/t^2 <= d + m.  The default
@@ -74,9 +77,11 @@ def enumerate_witnesses(
     m = family.m(n)
     max_a, max_b, max_e = bounds
     found: list[Witness] = []
-    # t | a for every hit, since (v, g) = a (see the module docstring).
+    # t | a and gcd(a, 2m) = t for every hit (see the module docstring).
     # Hits come out sorted by (a, b), and e is a function of (a, b).
     for a in range(t, max_a + 1, t):
+        if gcd(a, 2 * m) != t:
+            continue
         asq = a * a
         for b in _square_hits(m, d, asq, max_b):
             # e is forced by requiring the square to be 2d:

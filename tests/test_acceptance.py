@@ -332,3 +332,38 @@ def test_criterion_10_component_count_matches_orbit_count():
              "%d queries, %d component/orbit count splits%s"
              % (queries, len(offenders),
                 "; first: %r" % offenders[:3] if offenders else ""))
+
+
+def test_criterion_11_thresholds_match_the_bundle_status():
+    # An independent check of the thresholds through `bundles`.  Take t >= 2,
+    # e >= 1 and d = t^2*e - m: the class t*(f + e*g) + delta, i.e.
+    # t*L_n + delta with L^2 = 2e on a surface with Pic = Z*L, has square
+    # 2d and a = t (when also t | 2m it is the witness (t, 1, e)).  The
+    # status of the bundle t*L induced on the Hilbert scheme of n points
+    # (K3) or on the generalized Kummer variety (abelian surface) must be
+    # what the thresholds say at (family, n, d, t).  t = 1 is off this slice:
+    # there the a = 1 bundle rule and the t = 1 threshold rules disagree.
+    # The a >= 2 bundle bound is a sufficient condition, so agreement shows
+    # that the thresholds are exactly what this class certifies; it does not
+    # reprove the "iff" of the threshold notes.
+    surfaces = {K3: SurfaceKind.K3, KUM: SurfaceKind.ABELIAN}
+    offenders = []
+    cells = 0
+    for family in FAMILIES:
+        for n in range(2, 40):
+            m = family.m(n)
+            for t in range(2, 40):
+                for e in range(1, 60):
+                    d = t * t * e - m
+                    if d < 1:
+                        continue
+                    th = thresholds(ModuliQuery(family, n, d, t))
+                    status = induced_bundle_status(
+                        BundleSpec(surfaces[family], t, e), n)
+                    if (th.bpf, th.very_ample) != status:
+                        offenders.append((family.value, n, d, t, e))
+                    cells += 1
+    _verdict(11, not offenders,
+             "%d cells (t >= 2, d = t^2 e - m), %d threshold/bundle splits%s"
+             % (cells, len(offenders),
+                "; first: %r" % offenders[:3] if offenders else ""))

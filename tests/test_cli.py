@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hkmoduli import cli, moduli
 from hkmoduli.lattice import Family
 from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
-                             ModuliReport, reports)
+                             ModuliReport, reports, thresholds)
 
 
 def divisors(m):
@@ -207,12 +207,18 @@ def test_table_renders_no_notes(capsys, monkeypatch):
 
     monkeypatch.setattr(moduli, "_ratio", rendered)
     monkeypatch.setattr(moduli.ThresholdDecision, "notes", property(rendered))
+    monkeypatch.setattr(moduli, "_notes_text", rendered)
+    monkeypatch.setattr(cli, "_notes_text", rendered)
     for fmt in ("csv", "human"):
         code, out, err = run(capsys, "table", "--family", "kum", "--n", "5",
                              "--d-range", "1..40", "--t", "1,2,3,4,6,12",
                              "--format", fmt)
         assert code == 0 and err == "", fmt
         assert len(out.splitlines()) == 2 + 40 * 6 - (fmt == "csv"), fmt
+    # the patches bite: `check` prints the notes in both of its formats
+    for fmt in ("json", "human"):
+        with pytest.raises(AssertionError, match="note was rendered"):
+            cli.main(["check", *QUERY, "--format", fmt])
 
 
 def test_table_input_error_prints_nothing(capsys):
@@ -559,6 +565,72 @@ def test_kva_json_is_json_dumps_of_the_answer(capsys, surface):
                            induced_very_ample=status.very_ample)
                 expected = (0, json.dumps(ref, indent=2) + "\n", "")
                 assert run(capsys, *argv, "--n", str(n)) == expected
+
+
+def _near_bounds(family, n, t):
+    # the d on both sides of each threshold bound, and the d of _D_RANGE
+    th = thresholds(ModuliQuery(family, n, 1, t))
+    ds = set(_D_RANGE)
+    for d_min in (th.d_min_bpf, th.d_min_va):
+        ds.update(d for d in (d_min - 1, d_min) if d >= 1)
+    return sorted(ds)
+
+
+def test_check_notes_are_the_report_notes(capsys):
+    # Both `check` formats print rep.threshold_notes, joined with their
+    # separator, and those are the threshold notes of the query (matched
+    # against a Fraction reference in test_moduli) plus the halving note.
+    seen = set()
+    for family, n in _GRID:
+        for t in range(1, 17):
+            if 2 * family.m(n) % t:
+                continue
+            for rep in reports(family, n, t, _near_bounds(family, n, t)):
+                th = thresholds(ModuliQuery(family, n, rep.d, t))
+                notes = th.notes
+                if rep.halved:
+                    notes += ("component count used exact halving "
+                              "(rho = 0 case)",)
+                assert rep.threshold_notes == notes, rep
+                argv = ["check", "--family", family.value, "--n", str(n),
+                        "--d", str(rep.d), "--t", str(t)]
+                code, out, _ = run(capsys, *argv, "--format", "json")
+                assert code == 0
+                assert json.loads(out)["threshold_notes"] == list(notes)
+                code, out, _ = run(capsys, *argv)
+                assert code == 0
+                assert [line[6:] for line in out.splitlines()
+                        if line.startswith("note: ")] == list(notes), argv
+                seen.add("t = 1" if t == 1 else "t > 1")
+                seen.add("halved" if rep.halved else "not halved")
+                seen.add("bpf %s" % th.bpf)
+                seen.add("va %s" % th.very_ample)
+    assert seen == {"t = 1", "t > 1", "halved", "not halved", "bpf True",
+                    "bpf False", "va True", "va False"}
+
+
+def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
+    # A count one too high on a non-empty cell keeps the sign guard of
+    # `report` quiet; only the oracle's orbit count sees it.
+    count_detail = moduli._count_detail
+
+    def one_too_many(dec, t):
+        count, branch, halved = count_detail(dec, t)
+        return count + (count > 0), branch, halved
+
+    monkeypatch.setattr(moduli, "_count_detail", one_too_many)
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    argv = ["check", "--family", "k3n", "--n", "17", "--d", "48", "--t", "8",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["components"] == 3
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+    # an empty cell's count 0 is left as it is, and agrees
+    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "17",
+                       "--d", "47", "--t", "8", "--oracle")
+    assert code == 0 and "components: 0" in out
 
 
 def test_check_human_golden(capsys):

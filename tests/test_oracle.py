@@ -1,6 +1,7 @@
+import time
 from math import gcd, isqrt
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkmoduli import oracle
@@ -51,6 +52,29 @@ def test_component_count_needs_the_full_p_part_of_w():
     # criterion 10.  A count that keeps one factor p instead of p^k reads 1.
     q = ModuliQuery(K3, 17, 48, 8)
     assert component_count(q) == orbit_count(q) == 2
+
+
+@st.composite
+def count_queries(draw):
+    """n <= 200, any t | 2m and 1 <= d <= 4t^2; half the d are drawn with
+    t | 2d, the cells where a residue b can exist."""
+    family = draw(st.sampled_from([K3, KUM]))
+    n = draw(st.integers(min_value=2, max_value=200))
+    t = draw(st.sampled_from(divisors(2 * family.m(n))))
+    if draw(st.booleans()):
+        step = t // gcd(t, 2)   # the d with t | 2d are its multiples
+        d = step * draw(st.integers(min_value=1, max_value=4 * t * t // step))
+    else:
+        d = draw(st.integers(min_value=1, max_value=4 * t * t))
+    return ModuliQuery(family, n, d, t)
+
+
+@settings(max_examples=500, deadline=None)
+@given(count_queries())
+@example(ModuliQuery(K3, 17, 48, 8))
+def test_component_count_matches_orbit_count(q):
+    # the count by value beyond criterion 10's grid (n <= 10, d <= 200)
+    assert component_count(q) == orbit_count(q)
 
 
 def test_enumerate_contains_known_classes():
@@ -284,3 +308,38 @@ def test_square_hits_match_every_b():
                     hits += bool(got)
     assert hits and hits < cases
 
+
+
+def test_only_a_with_gcd_2m_equal_to_t_are_tested(monkeypatch):
+    # m = 3, t = 3: a = 6 and a = 12 have gcd(a, 2m) = 6, so no primitive
+    # class with that a has divisibility 3 and none of its b is tested
+    tested = []
+    square_hits = oracle._square_hits
+
+    def recording(m, d, asq, max_b):
+        tested.append(asq)
+        return square_hits(m, d, asq, max_b)
+
+    monkeypatch.setattr(oracle, "_square_hits", recording)
+    enumerate_witnesses(ModuliQuery(K3, 4, 6, 3), SearchBounds(12, 30, 100))
+    assert tested == [9, 81]
+    # t = 3161 does not divide 2m = 2: no a at all
+    tested.clear()
+    assert enumerate_witnesses(ModuliQuery(K3, 2, 1, 3161)) == []
+    assert tested == []
+
+
+def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(monkeypatch,
+                                                                capsys):
+    # Without the gcd(a, 2m) = t step, this search tests t^2 values of b
+    # (gcd(m, t^2) = 1 here): 0.8 s.  With it, no test at all.
+    from hkmoduli import cli
+
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    start = time.perf_counter()
+    code = cli.main(["check", "--oracle", "--family", "k3n", "--n", "2",
+                     "--d", "1", "--t", "3161"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and "non-empty: no" in out
+    assert elapsed < 0.05, elapsed
