@@ -66,6 +66,7 @@ _EXPORTS = {
     "thresholds": "moduli",
     "witness": "moduli",
     "SearchBounds": "oracle",
+    "bundle_status": "oracle",
     "default_bounds": "oracle",
     "enumerate_witnesses": "oracle",
     "orbit_count": "oracle",

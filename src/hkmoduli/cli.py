@@ -23,8 +23,9 @@ formulas and the brute-force oracle, or two formulas, disagree; this is a
 bug report, not a user error).
 
 The --oracle flag cross-checks check/witness answers by brute-force lattice
-search.  Bounds default to values that provably contain a witness whenever
-one exists; HK_ORACLE_BOUNDS="MAX_A,MAX_B,MAX_E" widens them (values below
+search, and a check's count and flags by orbit count and bundle status.
+Bounds default to values that provably contain a witness whenever one
+exists; HK_ORACLE_BOUNDS="MAX_A,MAX_B,MAX_E" widens them (values below
 the defaults are ignored, the search never shrinks below completeness).  A
 search over more than ORACLE_MAX_CANDIDATES candidate (a, b) pairs, about
 (max_a // t) * (2*max_b + 1) since only multiples of t are tried for a, is
@@ -118,12 +119,14 @@ def _parse_t_list(text: str) -> list[int]:
     return out
 
 
-def _run_oracle(q: ModuliQuery, w: Optional[Witness], count: Optional[int]):
+def _run_oracle(q: ModuliQuery, w: Optional[Witness],
+                rep: Optional[ModuliReport] = None):
     # The SearchBounds searched, in which a witness was found exactly when
-    # `w` is one and whose orbit count is `count` (unless None): any other
-    # outcome raises InternalInconsistency.
-    from .oracle import (SearchBounds, default_bounds, enumerate_witnesses,
-                         orbit_count, verify_witness)
+    # `w` is one.  With a check's report, its count must also be the orbit
+    # count, and when w is (t, 1, e) its two flags the bundle status of that
+    # class.  Any other outcome raises InternalInconsistency.
+    from .oracle import (SearchBounds, bundle_status, default_bounds,
+                         enumerate_witnesses, orbit_count, verify_witness)
     bounds = default_bounds(q)
     raw = os.environ.get("HK_ORACLE_BOUNDS")
     if raw:
@@ -140,12 +143,15 @@ def _run_oracle(q: ModuliQuery, w: Optional[Witness], count: Optional[int]):
             "oracle search with a <= %d, |b| <= %d would scan about %d "
             "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
             % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
+    status = bundle_status(q) if rep and w and w[:2] == (q.t, 1) else None
     if (bool(enumerate_witnesses(q, bounds, stop_after=1)) != (w is not None)
             or w and not verify_witness(w, q)
-            or count is not None and count != orbit_count(q)):
+            or rep and rep.components != orbit_count(q)
+            or status is not None and status != (rep.bpf_some_component,
+                                                 rep.va_some_component)):
         raise InternalInconsistency(
-            "oracle (search within %r, orbit count) disagrees with the "
-            "formulas at %r" % (bounds, q))
+            "oracle (search within %r, orbit count, bundle status) disagrees "
+            "with the formulas at %r" % (bounds, q))
     return bounds
 
 
@@ -252,8 +258,7 @@ def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
 def _cmd_check(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     rep = report(q)
-    bounds = (_run_oracle(q, rep.witness, rep.components)
-              if args.oracle else None)
+    bounds = _run_oracle(q, rep.witness, rep) if args.oracle else None
     if args.format == "json":
         oracle = ("" if bounds is None else
                   _ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty]))
@@ -330,7 +335,7 @@ def _cmd_kva(args: argparse.Namespace) -> int:
 def _cmd_witness(args: argparse.Namespace) -> int:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     w = witness(q)
-    bounds = _run_oracle(q, w, None) if args.oracle else None
+    bounds = _run_oracle(q, w) if args.oracle else None
     if args.format == "json":
         oracle = ("" if bounds is None else
                   _ORACLE_JSON % (*bounds, _FLAGS[w is not None]))

@@ -20,6 +20,8 @@ m = n-1 resp. n+1:
 `bbf_square` and `divisibility` evaluate those closed forms; the Gram-matrix
 path (`rank3_model` / `full_model` + `gram_divisibility`) recomputes the same
 quantities from an explicit bilinear form, with no shared code, as an oracle.
+A `GramLattice` keeps the nonzero entries of each row, found once when it
+is built, and `gram_divisibility` pairs through those alone.
 
 Why a rank 3 model is faithful: v lies in the sublattice M = U + Z*delta,
 and M splits off H^2 as a direct summand, H^2 = M + N with N orthogonal to
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from operator import mul
 from typing import NamedTuple, Sequence
 
 __all__ = [
@@ -123,6 +124,8 @@ def is_primitive(a: int, b: int) -> bool:
 
 class _GramFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
+    # per row, the (column, entry) pairs of its nonzero entries, from gram
+    terms: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class GramLattice(_GramFields):
@@ -141,19 +144,27 @@ class GramLattice(_GramFields):
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-        return super().__new__(cls, gram)
+        terms = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                      for row in gram)
+        return super().__new__(cls, gram, terms)
 
     @classmethod
     def _make(cls, iterable) -> GramLattice:
-        # the inherited _make (and so _replace) would skip __new__
-        return cls(*iterable)
+        # the inherited _make (and so _replace) would skip __new__ and keep
+        # the terms given; they are derived, so only the matrix is taken
+        gram, *_ = iterable
+        return cls(gram)
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__, which takes the matrix
+        return (self.gram,)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Bilinear pairing u.v."""
+        """Bilinear pairing u.v, from the full matrix."""
         if len(u) != self.rank or len(v) != self.rank:
             raise DimensionMismatch(
                 "expected vectors of length %d" % self.rank)
@@ -162,21 +173,28 @@ class GramLattice(_GramFields):
 
 
 def gram_divisibility(lat: GramLattice, v: Sequence[int]) -> int:
-    """gcd of the pairings of v with a basis; v must be nonzero.
+    """gcd of the pairings of v with a basis; ValueError when v pairs to 0
+    with every basis vector (v = 0, or v in the radical of a degenerate
+    matrix).
 
     This is the divisibility of v in `lat`, computed with no reference to
     the closed forms above.
     """
-    gram = lat.gram
-    if len(v) != len(gram):
+    terms = lat.terms
+    if len(v) != len(terms):
         raise DimensionMismatch(
-            "vector of length %d in a rank %d lattice" % (len(v), len(gram)))
-    # hot path of criterion 1: map(mul, ...) multiplies in C, not a generator
+            "vector of length %d in a rank %d lattice" % (len(v), len(terms)))
+    # plain loops: a comprehension or generator per row costs more than the
+    # one to three products of a typical row
     g = 0
-    for row in gram:
-        g = gcd(g, sum(map(mul, row, v)))
+    for row in terms:
+        s = 0
+        for j, x in row:
+            s += x * v[j]
+        g = gcd(g, s)
     if g == 0:
-        raise ValueError("divisibility of the zero vector is undefined")
+        raise ValueError("divisibility is undefined: v pairs to 0 with "
+                         "every basis vector")
     return g
 
 

@@ -28,6 +28,11 @@ bounds (max_a = t, max_b = t^2, max_e = d + t^4*(n+1)) are wider on purpose:
 they contain the witness even for b up to t^2, so the oracle does not lean
 on the lemma that the smallest residue b lies in [1, t].  "No hit within
 default bounds" therefore genuinely means "empty".
+
+`bundle_status` is the oracle of the threshold flags: it reads the surface
+bounds of `bundles`, not the threshold formulas of `moduli`.  On the slice
+t >= 2, t^2 | d + m it gives the status of the bundle that the class
+t*L_n + delta induces.
 """
 
 from __future__ import annotations
@@ -35,11 +40,14 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .lattice import LatticeClass, bbf_square, divisibility
+from .bundles import (BundleSpec, BundleStatus, SurfaceKind,
+                      induced_bundle_status)
+from .lattice import Family, LatticeClass, bbf_square, divisibility
 from .moduli import ModuliQuery, Witness
 
 __all__ = [
     "SearchBounds",
+    "bundle_status",
     "default_bounds",
     "enumerate_witnesses",
     "orbit_count",
@@ -161,3 +169,30 @@ def orbit_count(q: ModuliQuery) -> int:
     roots = sum(1 for b in range(1, t + 1)
                 if gcd(b, t) == 1 and (b * b * m + d) % tsq == 0)
     return roots // 2 if t > 2 else roots
+
+
+_SURFACES = {Family.K3HILB: SurfaceKind.K3, Family.KUMMER: SurfaceKind.ABELIAN}
+
+
+def bundle_status(q: ModuliQuery) -> Optional[BundleStatus]:
+    """Base point freeness and very ampleness of the bundle induced by the
+    class t*L_n + delta, or None off the slice t >= 2, t^2 | d + m.
+
+    On the slice d = t^2*e - m with e = (d + m)/t^2 >= 1, and the class
+    t*(f + e*g) + delta, i.e. t*L_n + delta with L^2 = 2e on a K3 surface
+    (K3^[n] type) or an abelian surface (Kummer type) with Pic = Z*L, has
+    square 2d.  When also t | 2m, b = 1 is the smallest residue and this
+    class is the witness (t, 1, e).  The status is
+    `induced_bundle_status(BundleSpec(surface, t, e), n)`.
+
+    The a >= 2 bound of `bundles` is a sufficient condition only, so a
+    match with the threshold flags shows that they are exactly what this
+    class certifies; it does not prove the "iff" of the threshold notes.
+    t = 1 is left out: there the a = 1 bundle rule and the t = 1 threshold
+    rules disagree, so they are not the status of this class.
+    """
+    family, n, d, t = q
+    e, r = divmod(d + family.m(n), t * t)
+    if t < 2 or r:
+        return None
+    return induced_bundle_status(BundleSpec(_SURFACES[family], t, e), n)

@@ -633,6 +633,39 @@ def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
     assert code == 0 and "components: 0" in out
 
 
+def test_oracle_checks_the_flags_against_the_bundle_status(capsys,
+                                                         monkeypatch):
+    # Doubling both bounds of `report` turns its flags off at (k3n, 17,
+    # 112, 8), whose witness is (8, 1, 2): the class 8 L + delta, L^2 = 4.
+    # Nothing else in `check` reads them, so only the bundle status sees it.
+    bounds = moduli._bounds
+
+    def doubled(family, n, t):
+        den, bpf_num, va_num = bounds(family, n, t)
+        return den, 2 * bpf_num, 2 * va_num
+
+    argv = ["check", "--family", "k3n", "--n", "17", "--d", "112", "--t",
+            "8", "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--oracle")
+    obj = json.loads(out)
+    assert code == 0 and obj["witness"] == [8, 1, 2]
+    assert obj["bpf_some_component"] and obj["va_some_component"]
+    monkeypatch.setattr(moduli, "_bounds", doubled)
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    code, out, _ = run(capsys, *argv)
+    obj = json.loads(out)
+    assert code == 0 and not obj["bpf_some_component"]
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+    # with the witness (8, 3, 1) the doubled bounds turn the flag off too,
+    # but that class is not t*L_n + delta and the flags are not compared
+    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "5",
+                       "--d", "28", "--t", "8", "--oracle")
+    assert code == 0 and "witness: a=8 b=3 e=1" in out
+    assert "base point free on some component: no" in out
+
+
 def test_check_human_golden(capsys):
     code, out, err = run(capsys, "check", "--family", "k3n", "--n", "17",
                          "--d", "48", "--t", "8", "--oracle")

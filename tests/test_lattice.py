@@ -1,4 +1,6 @@
+import copy
 import doctest
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -150,15 +152,50 @@ def test_direct_sum_and_full_models():
     assert det(full_model(Family.KUMMER, 4).gram) == 10
 
 
+def test_gram_terms_are_derived_from_the_matrix():
+    u = hyperbolic_plane()
+    assert u.terms == (((1, 1),), ((0, 1),))
+    assert rank3_model(Family.K3HILB, 3).terms == (
+        ((1, 1),), ((0, 1),), ((2, -4),))
+    # 3 * 2 entries in the U's, 2 * (8 + 2 * 7) in the E8(-1)'s, and delta
+    assert sum(map(len, full_model(Family.K3HILB, 2).terms)) == 51
+    # two lattices from one matrix are equal, and so are their rows
+    assert GramLattice(((0, 1), (1, 0))) == u
+    assert direct_sum(hyperbolic_plane(), GramLattice(((-4,),))) == (
+        rank3_model(Family.K3HILB, 3))
+    # _replace and _make take the matrix and derive its rows again
+    w = u._replace(gram=((2, -1), (-1, 0)))
+    assert w.terms == (((0, 2), (1, -1)), ((0, -1),))
+    assert GramLattice._make((((0, 3), (3, 0)), u.terms)).terms == (
+        ((1, 3),), ((0, 3),))
+    assert u._replace(terms=((), ())) == u
+    with pytest.raises(ValueError):
+        GramLattice._make((((0, 1), (2, 0)), u.terms))
+    assert copy.copy(u) == u
+    assert pickle.loads(pickle.dumps(e8_minus())) == e8_minus()
+
+
 def test_gram_divisibility_basics():
     model = rank3_model(Family.K3HILB, 2)
     assert gram_divisibility(model, (2, 2, 1)) == 2
     with pytest.raises(DimensionMismatch):
         gram_divisibility(model, (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairs to 0 with every basis"):
         gram_divisibility(model, (0, 0, 0))
     with pytest.raises(DimensionMismatch):
         model.pair((1, 0), (0, 1, 0))
+
+
+def test_gram_divisibility_of_a_radical_vector():
+    # a degenerate matrix is a valid GramLattice; a nonzero v in its radical
+    # pairs to 0 with every basis vector, so it has no divisibility either
+    lat = GramLattice(((1, -1), (-1, 1)))
+    assert lat.pair((1, 1), (1, 0)) == lat.pair((1, 1), (0, 1)) == 0
+    with pytest.raises(ValueError, match="pairs to 0 with every basis"):
+        gram_divisibility(lat, (1, 1))
+    assert gram_divisibility(lat, (3, -3)) == 6
+    with pytest.raises(ValueError, match="pairs to 0 with every basis"):
+        gram_divisibility(GramLattice(((0, 0), (0, 0))), (1, 2))
 
 
 families = st.sampled_from([Family.K3HILB, Family.KUMMER])
@@ -180,7 +217,7 @@ def test_closed_forms_match_rank3_gram(family, n, a, b, e):
 
 
 @settings(max_examples=200, deadline=None)
-@given(families, st.integers(min_value=2, max_value=3), coeff, coeff, small_e)
+@given(families, small_n, coeff, coeff, small_e)
 def test_full_rank_models_agree_with_rank3(family, n, a, b, e):
     if a == 0 and b == 0:
         return
@@ -206,6 +243,36 @@ def test_gram_divisibility_off_the_rank3_span(family, n, data):
     basis = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
     expected = gcd(*(lat.pair(e, v) for e in basis))
     assert gram_divisibility(lat, v) == expected
+
+
+mostly_zero = st.one_of(st.just(0), st.just(0), st.just(0),
+                        st.integers(min_value=-30, max_value=30))
+
+
+@st.composite
+def sparse_symmetric(draw):
+    r = draw(st.integers(min_value=1, max_value=10))
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            g[i][j] = g[j][i] = draw(mostly_zero)
+    return GramLattice(tuple(map(tuple, g)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(sparse_symmetric(), st.builds(full_model, families, small_n),
+                 st.just(e8_minus())), st.data())
+def test_gram_divisibility_matches_dense_reference(lat, data):
+    # the gcd of the pairings of v with the basis, every entry of every row
+    # multiplied, zeros included; 0 when v pairs to 0 with all of them
+    v = data.draw(st.lists(coeff, min_size=lat.rank, max_size=lat.rank))
+    expected = gcd(*(sum(gij * vj for gij, vj in zip(row, v))
+                     for row in lat.gram))
+    if expected == 0:
+        with pytest.raises(ValueError, match="pairs to 0 with every basis"):
+            gram_divisibility(lat, v)
+    else:
+        assert gram_divisibility(lat, v) == expected
 
 
 @settings(max_examples=200)

@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hkmoduli import oracle
+from hkmoduli.bundles import BundleSpec, SurfaceKind, induced_bundle_status
 from hkmoduli.lattice import Family, LatticeClass, bbf_square, divisibility
 from hkmoduli.moduli import (ModuliQuery, Witness, component_count,
-                             is_nonempty, witness)
+                             is_nonempty, report, witness)
 from hkmoduli.oracle import (
     SearchBounds,
+    bundle_status,
     default_bounds,
     enumerate_witnesses,
     orbit_count,
@@ -343,3 +345,32 @@ def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(monkeypatch,
     out = capsys.readouterr().out
     assert code == 0 and "non-empty: no" in out
     assert elapsed < 0.05, elapsed
+
+
+def test_bundle_status_is_the_status_of_the_class_on_its_slice():
+    # criterion 11's direct computation: on d = t^2 e - m with t >= 2 the
+    # class t*L_n + delta has L^2 = 2e; every other cell is off the slice.
+    # Where the report's witness is that class, (t, 1, e), its two flags are
+    # the status (what `check --oracle` compares).
+    surfaces = {K3: SurfaceKind.K3, KUM: SurfaceKind.ABELIAN}
+    on_slice = witnessed = 0
+    for family in (K3, KUM):
+        for n in range(2, 17):
+            m = family.m(n)
+            for t in range(1, 15):
+                for d in range(1, 250):
+                    q = ModuliQuery(family, n, d, t)
+                    status = bundle_status(q)
+                    e, r = divmod(d + m, t * t)
+                    if t == 1 or r:
+                        assert status is None, q
+                        continue
+                    on_slice += 1
+                    assert status == induced_bundle_status(
+                        BundleSpec(surfaces[family], t, e), n), q
+                    rep = report(q)
+                    if rep.witness == (t, 1, e):
+                        witnessed += 1
+                        assert status == (rep.bpf_some_component,
+                                          rep.va_some_component), q
+    assert on_slice > 1000 and witnessed > 100

@@ -38,13 +38,14 @@ def test_cli_import_leaves_unused_modules_out():
     assert [name for name in HEAVY if name in loaded] == []
 
 
-def test_plain_check_loads_no_argparse():
+def test_plain_check_loads_no_argparse_oracle_or_bundles():
     loaded = _modules_loaded_by(
         "from hkmoduli import cli\n"
         "assert cli.main(['check', '--family', 'k3n', '--n', '10', '--d',"
         " '27', '--t', '3', '--format', 'json']) == 0")
     assert "hkmoduli.cli" in loaded
-    assert [name for name in ("argparse", "gettext") if name in loaded] == []
+    assert [name for name in ("argparse", "gettext", "hkmoduli.oracle",
+                              "hkmoduli.bundles") if name in loaded] == []
 
 
 def test_report_loads_no_fractions_logging_or_dataclasses():
@@ -114,7 +115,9 @@ def test_unknown_attribute_raises_attribute_error():
 def test_result_types_reject_assignment():
     q = ModuliQuery(Family.K3HILB, 10, 27, 3)
     th = thresholds(q)
-    for value in (decompose(q), th, report(q), rank3_model(Family.KUMMER, 3)):
+    lat = rank3_model(Family.KUMMER, 3)
+    assert lat._fields == ("gram", "terms")
+    for value in (decompose(q), th, report(q), lat):
         for field in value._fields:
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
