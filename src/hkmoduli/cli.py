@@ -24,19 +24,17 @@ bug report, not a user error).
 
 The --oracle flag cross-checks check/witness answers by brute-force lattice
 search, and a check's count and flags by orbit count and bundle status.
-Bounds default to values that provably contain a witness whenever one
-exists; HK_ORACLE_BOUNDS="MAX_A,MAX_B,MAX_E" widens them (values below
-the defaults are ignored, the search never shrinks below completeness).  A
-search over more than ORACLE_MAX_CANDIDATES candidate (a, b) pairs, about
-(max_a // t) * (2*max_b + 1) since only multiples of t are tried for a, is
-refused with exit 1 instead of being run.
+The search runs within oracle.default_bounds, which provably contain a
+witness whenever one exists, so no wider search could change a verdict (the
+proof is in the oracle module docstring).  Those bounds hold 2*t^2 + 1
+candidate (a, b) pairs, a = t and |b| <= t^2; a search over more than
+ORACLE_MAX_CANDIDATES of them is refused with exit 1 instead of being run.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
@@ -57,8 +55,8 @@ __all__ = ["main"]
 # which is also written when no parser has been built
 _PROG = "hkmoduli"
 
-# The estimate counts pairs (a, b), 2*t^2 + 1 with the default bounds: the
-# cap is reached near t = 3163.  The oracle tests at most 2t of them when
+# The estimate counts the pairs (a, b) of the default bounds, 2*t^2 + 1: the
+# cap is reached at t = 3163.  The oracle tests at most 2t of them when
 # t | 2m (t = 3162: ~1 ms) and none otherwise, but checks every hit, and half
 # the pairs can be hits, so pairs bound the work, tests do not (README).
 ORACLE_MAX_CANDIDATES = 20_000_000
@@ -121,28 +119,20 @@ def _parse_t_list(text: str) -> list[int]:
 
 def _run_oracle(q: ModuliQuery, w: Optional[Witness],
                 rep: Optional[ModuliReport] = None):
-    # The SearchBounds searched, in which a witness was found exactly when
+    # The default bounds searched, in which a witness was found exactly when
     # `w` is one.  With a check's report, its count must also be the orbit
     # count, and when w is (t, 1, e) its two flags the bundle status of that
     # class.  Any other outcome raises InternalInconsistency.
-    from .oracle import (SearchBounds, bundle_status, default_bounds,
-                         enumerate_witnesses, orbit_count, verify_witness)
-    bounds = default_bounds(q)
-    raw = os.environ.get("HK_ORACLE_BOUNDS")
-    if raw:
-        try:
-            parts = SearchBounds(*map(int, raw.split(",")))
-        except (TypeError, ValueError):  # not three integers
-            raise ValueError(
-                "HK_ORACLE_BOUNDS must be MAX_A,MAX_B,MAX_E, got %r" % (raw,))
-        bounds = SearchBounds(*map(max, bounds, parts))
-    # the oracle tries only the multiples of t up to max_a
-    candidates = (bounds.max_a // q.t) * (2 * bounds.max_b + 1)
+    from .oracle import (bundle_status, default_bounds, enumerate_witnesses,
+                         orbit_count, verify_witness)
+    tsq = q.t * q.t
+    candidates = 2 * tsq + 1
     if candidates > ORACLE_MAX_CANDIDATES:
         raise ValueError(
             "oracle search with a <= %d, |b| <= %d would scan about %d "
             "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
-            % (bounds.max_a, bounds.max_b, candidates, ORACLE_MAX_CANDIDATES))
+            % (q.t, tsq, candidates, ORACLE_MAX_CANDIDATES))
+    bounds = default_bounds(q)
     status = bundle_status(q) if rep and w and w[:2] == (q.t, 1) else None
     if (bool(enumerate_witnesses(q, bounds, stop_after=1)) != (w is not None)
             or w and not verify_witness(w, q)
@@ -483,7 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
-        # bad values that argparse cannot see (env vars, domain checks)
+        # bad values that argparse cannot see (domain checks, oracle cap)
         print("%s: error: %s" % (_PROG, exc), file=sys.stderr)
         return 1
 

@@ -29,6 +29,14 @@ they contain the witness even for b up to t^2, so the oracle does not lean
 on the lemma that the smallest residue b lies in [1, t].  "No hit within
 default bounds" therefore genuinely means "empty".
 
+No wider search can change that verdict, again by the lattice identities
+alone.  A hit (a, b, e) of any bounds has t | a, gcd(a, 2m) = t, gcd(a, b)
+= 1 and a^2 | d + b^2*m.  So t^2 | d + b^2*m and gcd(t, b) = 1.  With
+b' = b mod t^2, b'^2*m = b^2*m (mod t^2) and gcd(b', t) = gcd(b, t), so
+(t, b', (d + b'^2*m)/t^2) is a hit too (primitive, divisibility
+gcd(t, 2*b'*m) = gcd(t, 2m) = t), with 0 <= b' < t^2 and
+1 <= e <= d + t^2*m: inside the default bounds.
+
 `bundle_status` is the oracle of the threshold flags: it reads the surface
 bounds of `bundles`, not the threshold formulas of `moduli`.  On the slice
 t >= 2, t^2 | d + m it gives the status of the bundle that the class

@@ -98,7 +98,6 @@ def test_check_with_oracle_at_large_t(capsys, monkeypatch):
     # there, so the oracle tests a window of 2t values of b, not t^2.
     # d = 1 is empty (t must divide 2d); d = t^2 - m = -(1^2 * m) mod t^2 is
     # non-empty, witness (t, 1, 1).
-    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
     for n, t in ((1001, 1000), (1582, 3162)):
         for d, non_empty in ((1, False), (t * t - n + 1, True)):
             code, out, _ = run(capsys, "check", "--family", "k3n",
@@ -516,7 +515,6 @@ def test_one_query_json_is_json_dumps_of_the_answer(capsys, monkeypatch,
                                                     family, n, oracle):
     from hkmoduli.oracle import default_bounds
 
-    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
     for rep in _grid_reports(family, n):
         argv = ["--family", rep.family.value, "--n", str(rep.n),
                 "--d", str(rep.d), "--t", str(rep.t), "--format", "json"]
@@ -619,7 +617,6 @@ def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
         return count + (count > 0), branch, halved
 
     monkeypatch.setattr(moduli, "_count_detail", one_too_many)
-    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
     argv = ["check", "--family", "k3n", "--n", "17", "--d", "48", "--t", "8",
             "--format", "json"]
     code, out, _ = run(capsys, *argv)
@@ -651,7 +648,6 @@ def test_oracle_checks_the_flags_against_the_bundle_status(capsys,
     assert code == 0 and obj["witness"] == [8, 1, 2]
     assert obj["bpf_some_component"] and obj["va_some_component"]
     monkeypatch.setattr(moduli, "_bounds", doubled)
-    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
     code, out, _ = run(capsys, *argv)
     obj = json.loads(out)
     assert code == 0 and not obj["bpf_some_component"]
@@ -739,20 +735,20 @@ def test_help_exits_0(capsys):
     assert run(capsys, "check", "--help")[0] == 0
 
 
-def test_oracle_bounds_env(capsys, monkeypatch):
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "5,50,500")
-    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "2",
-                       "--d", "3", "--t", "2", "--format", "json", "--oracle")
-    assert code == 0
-    obj = json.loads(out)
-    # widened where larger than the defaults (2, 4, 51), never shrunk
-    assert obj["oracle"]["bounds"] == {"max_a": 5, "max_b": 50, "max_e": 500}
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "1,1,1")
-    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "2",
-                       "--d", "3", "--t", "2", "--format", "json", "--oracle")
-    assert code == 0
-    assert json.loads(out)["oracle"]["bounds"] == {
-        "max_a": 2, "max_b": 4, "max_e": 51}
+def test_oracle_ignores_hk_oracle_bounds(capsys, monkeypatch):
+    # The search always runs within the default bounds, which no wider
+    # search could change the verdict of (oracle module docstring), so the
+    # old HK_ORACLE_BOUNDS variable, valid or not, changes nothing.
+    argvs = (["check", "--family", "k3n", "--n", "2", "--d", "3", "--t", "2",
+              "--format", "json", "--oracle"],
+             ["witness", "--family", "k3n", "--n", "2", "--d", "3", "--t",
+              "2", "--oracle"])
+    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
+    unset = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in unset] == [0, 0]
+    for value in ("5,50,500", "1,1,1", "1000,100000,1", "not,numbers"):
+        monkeypatch.setenv("HK_ORACLE_BOUNDS", value)
+        assert [run(capsys, *argv) for argv in argvs] == unset, value
 
 
 def _no_search(*args, **kwargs):
@@ -760,49 +756,19 @@ def _no_search(*args, **kwargs):
 
 
 def test_oracle_refuses_large_t(capsys, monkeypatch):
-    # default bounds at t = 3200: one multiple of t times (2 * 3200^2 + 1)
+    # default bounds at t: one multiple of t times (2 * t^2 + 1); t = 3163
+    # is the smallest t refused
     monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
-    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "3201",
-                         "--d", "1", "--t", "3200", "--oracle")
-    assert code == 1
-    assert out == ""
-    assert "20480001" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
-    code, _, err = run(capsys, "witness", "--family", "k3n", "--n", "3201",
-                       "--d", "1", "--t", "3200", "--oracle")
-    assert code == 1 and "20480001" in err
-
-
-def test_oracle_refuses_wide_env_bounds(capsys, monkeypatch):
-    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "1000,100000,1")
-    code, out, err = run(capsys, "check", "--family", "k3n", "--n", "2",
-                         "--d", "3", "--t", "2", "--oracle")
-    assert code == 1
-    assert out == ""
-    # 1000 // 2 multiples of t = 2, times 2 * 100000 + 1
-    assert "100000500" in err and str(cli.ORACLE_MAX_CANDIDATES) in err
-    # at or just under the cap the search runs
-    searched = []
-
-    def search(q, bounds, stop_after):
-        searched.append(bounds)
-        return ["hit"]
-
-    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", search)
-    # 20 // 2 = 10 multiples of t = 2, times 2 * max_b + 1, just under the cap
-    max_b = (cli.ORACLE_MAX_CANDIDATES // 10 - 1) // 2
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "20,%d,1" % max_b)
-    code, _, _ = run(capsys, "check", "--family", "k3n", "--n", "2",
-                     "--d", "3", "--t", "2", "--oracle")
-    assert code == 0 and searched[0].max_b == max_b
-
-
-def test_oracle_bounds_env_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("HK_ORACLE_BOUNDS", "not,numbers")
-    code, _, err = run(capsys, "check", "--family", "k3n", "--n", "2",
-                       "--d", "3", "--t", "2", "--oracle")
-    assert code == 1
-    assert "HK_ORACLE_BOUNDS" in err
+    for n, t, estimate in (("3201", "3200", "20480001"),
+                           ("3164", "3163", "20009139")):
+        code, out, err = run(capsys, "check", "--family", "k3n", "--n", n,
+                             "--d", "1", "--t", t, "--oracle")
+        assert code == 1
+        assert out == ""
+        assert estimate in err and str(cli.ORACLE_MAX_CANDIDATES) in err
+        code, _, err = run(capsys, "witness", "--family", "k3n", "--n", n,
+                           "--d", "1", "--t", t, "--oracle")
+        assert code == 1 and estimate in err
 
 
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):

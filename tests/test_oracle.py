@@ -36,6 +36,25 @@ def test_default_bounds():
     assert default_bounds(q) == SearchBounds(1, 1, 13)
 
 
+def test_no_wider_search_changes_a_verdict():
+    # The default bounds are complete (module docstring): a hit (a, b, e) of
+    # any search gives the hit (t, b mod t^2, ...) inside them.  So a search
+    # with four times max_a, four times t^2 for max_b and sixteen times
+    # max_e finds a witness exactly where the default search does.
+    cells = 0
+    for family in (K3, KUM):
+        for n in range(2, 13):
+            for t in divisors(2 * family.m(n)):
+                for d in range(1, 61):
+                    q = ModuliQuery(family, n, d, t)
+                    wide = SearchBounds(4 * t, 4 * t * t,
+                                        16 * default_bounds(q).max_e)
+                    assert (bool(enumerate_witnesses(q, wide, stop_after=1))
+                            == bool(enumerate_witnesses(q, stop_after=1))), q
+                    cells += 1
+    assert cells == 6180
+
+
 def test_orbit_count_pins():
     # roots b = 1, 4 mod 15 and b = 1, 2, 4 mod 9, each up to sign
     assert orbit_count(ModuliQuery(K3, 16, 210, 15)) == 2
@@ -331,13 +350,11 @@ def test_only_a_with_gcd_2m_equal_to_t_are_tested(monkeypatch):
     assert tested == []
 
 
-def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(monkeypatch,
-                                                                capsys):
+def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(capsys):
     # Without the gcd(a, 2m) = t step, this search tests t^2 values of b
     # (gcd(m, t^2) = 1 here): 0.8 s.  With it, no test at all.
     from hkmoduli import cli
 
-    monkeypatch.delenv("HK_ORACLE_BOUNDS", raising=False)
     start = time.perf_counter()
     code = cli.main(["check", "--oracle", "--family", "k3n", "--n", "2",
                      "--d", "1", "--t", "3161"])
