@@ -771,6 +771,33 @@ def test_oracle_refuses_large_t(capsys, monkeypatch):
         assert code == 1 and estimate in err
 
 
+def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):
+    # The refusal sizes the search from t alone as 2t^2 + 1, the message's
+    # (max_a // t) * (2*max_b + 1) over the default bounds; at t = 3162, the
+    # largest t under the cap, the search runs within exactly those bounds.
+    from hkmoduli.oracle import default_bounds
+
+    for family in Family:
+        for n in (2, 3, 17, 1582):
+            for t in (1, 2, 7, 3162, 3163):
+                b = default_bounds(ModuliQuery(family, n, 1, t))
+                assert (b.max_a // t) * (2 * b.max_b + 1) == 2 * t * t + 1
+    assert 2 * 3162 ** 2 + 1 <= cli.ORACLE_MAX_CANDIDATES
+    searched = []
+
+    def search(q, bounds, stop_after):
+        searched.append((q, bounds))
+        return []
+
+    monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", search)
+    # d = 1 is empty at t = 3162 (t must divide 2d), so no hit is consistent
+    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "1582",
+                       "--d", "1", "--t", "3162", "--oracle")
+    assert code == 0 and "oracle: agrees" in out
+    [(q, bounds)] = searched
+    assert bounds == default_bounds(q)
+
+
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     def broken(q):
         raise InternalInconsistency("forced for the test")
