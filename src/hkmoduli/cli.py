@@ -129,8 +129,9 @@ def _run_oracle(q: ModuliQuery, w: Optional[Witness],
     candidates = 2 * tsq + 1
     if candidates > ORACLE_MAX_CANDIDATES:
         raise ValueError(
-            "oracle search with a <= %d, |b| <= %d would scan about %d "
-            "candidates ((max_a // t) * (2*max_b + 1)), above the cap of %d"
+            "oracle search over its default bounds, a = %d and |b| <= %d, "
+            "would scan 2*t^2 + 1 = %d candidate pairs (a, b), above the cap "
+            "of %d"
             % (q.t, tsq, candidates, ORACLE_MAX_CANDIDATES))
     bounds = default_bounds(q)
     status = bundle_status(q) if rep and w and w[:2] == (q.t, 1) else None
@@ -228,21 +229,21 @@ def _report_json(rep: ModuliReport, oracle: str = "") -> str:
 
 def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
     # The rows of one t's sweep, in the columns of _CSV_HEADER; %d writes a
-    # bool as 0/1.  An empty cell has no witness, count 0 and every flag
-    # False, so its row depends on d alone: its template is made once, from
-    # the first empty report.
-    empty = None
-    for r in sweep:
-        if r.non_empty:
-            yield "%s,%d,%d,%d,1,%d,%d,%d,%d,%d,%d,%d,%d\n" % (
-                r.family.value, r.n, r.d, r.t, r.components, *r.witness,
-                r.bpf_some_component, r.va_some_component, r.fujita_power,
-                r.applies_to_all_components)
+    # bool as 0/1.  family, n, t and the Fujita power are the same in every
+    # row, so both templates are made once, from the first report: an empty
+    # cell has no witness, count 0 and every flag False, so its row depends
+    # on d alone.
+    empty = full = None
+    for (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
+         _) in sweep:
+        if full is None:
+            head = "%s,%d,%%d,%d," % (family.value, n, t)
+            empty = head + "0,0,,,,0,0,%d,0\n" % fujita
+            full = head + "1,%%d,%%d,%%d,%%d,%%d,%%d,%d,%%d\n" % fujita
+        if non_empty:
+            yield full % (d, components, *w, bpf, va, every)
         else:
-            if empty is None:
-                empty = "%s,%d,%%d,%d,0,0,,,,0,0,%d,0\n" % (
-                    r.family.value, r.n, r.t, r.fujita_power)
-            yield empty % r.d
+            yield empty % d
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

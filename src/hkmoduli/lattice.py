@@ -17,8 +17,11 @@ m = n-1 resp. n+1:
     v^2 = 2*a^2*e - 2*b^2*m
     div(v) = gcd(a, 2*b*m)
 
-`bbf_square` and `divisibility` evaluate those closed forms; the Gram-matrix
-path (`rank3_model` / `full_model` + `gram_divisibility`) recomputes the same
+`_square(a, b, e, m)` and `_divisibility(a, b, m)` evaluate those closed
+forms on plain ints, unchecked: `moduli` re-verifies every witness it builds
+through them.  `bbf_square` and `divisibility` check a `LatticeClass` and
+evaluate the same closed forms on its fields.  The Gram-matrix path
+(`rank3_model` / `full_model` + `gram_divisibility`) recomputes the same
 quantities from an explicit bilinear form, with no shared code, as an oracle.
 A `GramLattice` keeps the nonzero entries of each row, found once when it
 is built, and `gram_divisibility` pairs through those alone.
@@ -102,7 +105,12 @@ def bbf_square(c: LatticeClass) -> int:
     2
     """
     _check(c)
-    return 2 * c.a * c.a * c.e - 2 * c.b * c.b * c.family.m(c.n)
+    return _square(c.a, c.b, c.e, c.family.m(c.n))
+
+
+def _square(a: int, b: int, e: int, m: int) -> int:
+    # the closed form of bbf_square, delta^2 = -2m
+    return 2 * a * a * e - 2 * b * b * m
 
 
 def divisibility(c: LatticeClass) -> int:
@@ -114,7 +122,15 @@ def divisibility(c: LatticeClass) -> int:
     2
     """
     _check(c)
+    # _divisibility's closed form, written out, not called: the benchmark's
+    # gram workload calls this next to the Gram path, and there the nested
+    # call measured ~1% of its throughput
     return gcd(c.a, 2 * c.b * c.family.m(c.n))
+
+
+def _divisibility(a: int, b: int, m: int) -> int:
+    # the closed form of divisibility, delta^2 = -2m
+    return gcd(a, 2 * b * m)
 
 
 def is_primitive(a: int, b: int) -> bool:

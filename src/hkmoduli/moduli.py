@@ -89,7 +89,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
-from .lattice import Family, LatticeClass, bbf_square, divisibility, is_primitive
+from .lattice import Family, _divisibility, _square, is_primitive
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -368,11 +368,11 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 
 def _witness(family: Family, n: int, m: int, d: int, t: int,
              b: int) -> Witness:
-    # the class (t, b, e) for the residue b, re-verified through `lattice`
+    # the class (t, b, e) for the residue b, re-verified through the closed
+    # forms of `lattice`; tuple.__new__ as in `_decompose`
     e = (d + b * b * m) // (t * t)
-    w = Witness(t, b, e)
-    c = LatticeClass(family, n, t, b, e)
-    if (e < 1 or bbf_square(c) != 2 * d or divisibility(c) != t
+    w = tuple.__new__(Witness, (t, b, e))
+    if (e < 1 or _square(t, b, e, m) != 2 * d or _divisibility(t, b, m) != t
             or not is_primitive(t, b)):
         raise InternalInconsistency(
             "constructed witness %r fails verification at %r"
@@ -491,6 +491,15 @@ def reports(family: Family, n: int, t: int,
     The per-component guarantees are masked with non-emptiness (no
     component, no claim) and apply to every component exactly when the
     count is 1.
+
+    Within one call the residue and the count are each computed once per
+    class of d they read; the witness and the cross-check still run on
+    every cell.  Once t divides 2m and 2d, the scan for b reads d only
+    through its target -d mod t^2.  The count reads d only through
+    h = gcd(d, m) and d1 mod 2t, where gcd(2d, 2m) = 2h and d1 = d/h: every
+    other field of the decomposition is a function of m, t and 2h, and the
+    cases read d1 only through gcd(d1, t1), d1 mod 2 and quadratic residue
+    tests mod t1 or 2*t1, each a divisor of 2t.
     """
     _validate(ModuliQuery(family, n, 1, t))
     return _reports(family, n, t, ds)
@@ -502,6 +511,10 @@ def _reports(family: Family, n: int, t: int,
     t_divides_2m = (2 * m) % t == 0
     den, bpf_num, va_num = _bounds(family, n, t)
     fujita = n + 2
+    tsq, two_t = t * t, 2 * t
+    # b (None when empty) by -d mod t^2, the count detail by h and d1 mod 2t
+    # packed in one int; `reports` says why each key determines its value
+    residues, counts = {}, {}
     # tuple.__new__ builds the same ModuliReport as its generated 12-argument
     # __new__, at about half the cost (a report is made for every table cell)
     new = tuple.__new__
@@ -513,10 +526,18 @@ def _reports(family: Family, n: int, t: int,
             yield new(ModuliReport, (family, n, d, t, False, 0, None, False,
                                      False, fujita, False, False))
             continue
-        b = _residue(m, d, t)
+        target = -d % tsq
+        b = residues.get(target, 0)  # b >= 1, so 0 means not yet seen
+        if b == 0:
+            b = residues[target] = _residue(m, d, t)
         w = None if b is None else _witness(family, n, m, d, t, b)
         ne = w is not None
-        count, _, halved = _count_detail(_decompose(m, d, t), t)
+        h = gcd(d, m)
+        key = h * two_t + d // h % two_t
+        detail = counts.get(key)
+        if detail is None:
+            detail = counts[key] = _count_detail(_decompose(m, d, t), t)
+        count, _, halved = detail
         if (count >= 1) != ne:
             raise InternalInconsistency(
                 "non_empty = %r but component count = %d at %r"

@@ -92,7 +92,7 @@ def test_check_with_oracle(capsys):
     assert obj["oracle"]["bounds"] == {"max_a": 2, "max_b": 4, "max_e": 51}
 
 
-def test_check_with_oracle_at_large_t(capsys, monkeypatch):
+def test_check_with_oracle_at_large_t(capsys):
     # t = 1000 | 2m = 2000, and t = 3162 | 2m = 3162, the largest t whose
     # default search, 2*t^2 + 1 pairs, is under the cap; gcd(m, t^2) = m
     # there, so the oracle tests a window of 2t values of b, not t^2.
@@ -511,8 +511,8 @@ def test_grid_covers_every_kind_of_cell():
 
 @pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("family, n", _GRID)
-def test_one_query_json_is_json_dumps_of_the_answer(capsys, monkeypatch,
-                                                    family, n, oracle):
+def test_one_query_json_is_json_dumps_of_the_answer(capsys, family, n,
+                                                    oracle):
     from hkmoduli.oracle import default_bounds
 
     for rep in _grid_reports(family, n):
@@ -772,8 +772,8 @@ def test_oracle_refuses_large_t(capsys, monkeypatch):
 
 
 def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):
-    # The refusal sizes the search from t alone as 2t^2 + 1, the message's
-    # (max_a // t) * (2*max_b + 1) over the default bounds; at t = 3162, the
+    # The refusal sizes the search from t alone as 2t^2 + 1, the pairs
+    # (max_a // t) * (2*max_b + 1) of the default bounds; at t = 3162, the
     # largest t under the cap, the search runs within exactly those bounds.
     from hkmoduli.oracle import default_bounds
 

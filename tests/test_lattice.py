@@ -212,8 +212,10 @@ def test_closed_forms_match_rank3_gram(family, n, a, b, e):
     c = LatticeClass(family, n, a, b, e)
     model = rank3_model(family, n)
     v = (a, a * e, b)
-    assert model.pair(v, v) == bbf_square(c)
-    assert gram_divisibility(model, v) == divisibility(c)
+    m = family.m(n)
+    assert model.pair(v, v) == bbf_square(c) == lattice._square(a, b, e, m)
+    assert (gram_divisibility(model, v) == divisibility(c)
+            == lattice._divisibility(a, b, m))
 
 
 @settings(max_examples=200, deadline=None)

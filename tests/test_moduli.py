@@ -253,6 +253,25 @@ def test_witness_pins():
     assert witness(ModuliQuery(K3, 2, 2, 2)) is None
 
 
+@pytest.mark.parametrize("kernel, broken", [
+    ("_square", lambda a, b, e, m: 2 * a * a * e - 2 * b * b * m + 2),
+    ("_divisibility", lambda a, b, m: 2 * gcd(a, 2 * b * m)),
+    ("is_primitive", lambda a, b: False),
+])
+def test_witness_is_refused_when_the_lattice_rejects_it(monkeypatch, kernel,
+                                                        broken):
+    # each lattice function the re-verification calls, broken in turn
+    monkeypatch.setattr(moduli, kernel, broken)
+    with pytest.raises(InternalInconsistency, match="fails verification"):
+        witness(ModuliQuery(K3, 2, 3, 2))
+    # inside a sweep: the empty cells d = 1, 2 build no class
+    sweep = reports(K3, 2, 2, range(1, 10))
+    assert [rep.d for rep in itertools.islice(sweep, 2)] == [1, 2]
+    with pytest.raises(InternalInconsistency,
+                       match=r"fails verification at .*n=2, d=3, t=2\)"):
+        next(sweep)
+
+
 def test_witness_t1_closed_form():
     # t = 1 always admits (1, 1, d + m)
     for family in (K3, KUM):
@@ -657,3 +676,42 @@ def test_sweep_validates_once(monkeypatch):
     monkeypatch.setattr(moduli, "_validate", counted)
     assert len(list(reports(K3, 10, 3, range(1, 200)))) == 199
     assert len(calls) == 1
+
+
+def test_sweep_matches_per_cell_reference_where_every_class_recurs():
+    # Both keys of the sweep, -d mod t^2 for the residue and (gcd(d, m),
+    # d/gcd(d, m) mod 2t) for the count, have period 2mt in d (t | 2m, so
+    # t^2 | 2mt).  Each window holds two periods, so every class met is met
+    # again, and a key that dropped part of what its value reads would give
+    # a later cell of its class another cell's answer.
+    for family in (K3, KUM):
+        for n in range(2, 13):
+            m = family.m(n)
+            for t in divisors(2 * m):
+                ds = range(1, 4 * m * t + 1)
+                assert _sweep_rows(family, n, t, ds) == [
+                    _report_reference(ModuliQuery(family, n, d, t))
+                    for d in ds], (family, n, t)
+
+
+def test_sweep_scans_and_counts_once_per_class(monkeypatch):
+    residue, count_detail = moduli._residue, moduli._count_detail
+    scans, counts = [], []
+
+    def counted_residue(m, d, t):
+        scans.append(-d % (t * t))
+        return residue(m, d, t)
+
+    def counted_count_detail(dec, t):
+        counts.append((dec.big_gcd, dec.d1 % (2 * t)))
+        return count_detail(dec, t)
+
+    monkeypatch.setattr(moduli, "_residue", counted_residue)
+    monkeypatch.setattr(moduli, "_count_detail", counted_count_detail)
+    # m = 9: gcd(2d, 2m) is 2, 6 or 18, and d1 mod 2t takes every value
+    for t, n_scans, n_counts in ((1, 1, 3 * 2), (2, 4, 3 * 4)):
+        scans.clear()
+        counts.clear()
+        assert len(list(reports(K3, 10, t, range(1, 1001)))) == 1000
+        assert len(scans) == len(set(scans)) == n_scans
+        assert len(counts) == len(set(counts)) == n_counts

@@ -1,0 +1,150 @@
+"""Alternating benchmark pairs: a parent revision against the working tree.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/bench_pairs.py --parent HEAD --workload table,check \\
+        --seed 1 --seconds 5 --pairs 10 --out BENCH.json
+
+The parent revision is extracted with `git archive` into a temporary
+directory.  For each workload, each pair runs
+
+    python3 bench/run.py --workload W --seed S --seconds X --trace 0
+
+once in the parent's copy and once in the working tree, each in a fresh
+interpreter, which side goes first alternating from pair to pair, so slow
+drift of the machine falls on both sides alike.  Each side runs its own
+bench/ and its own src/.
+
+For every end-to-end metric of BENCHMARK.json it prints each side's median
+and quartiles, and in how many pairs the working tree was better (ties
+count for neither side).  `gain` says the working tree won at least nine
+tenths of the pairs and its median beats the parent's by more than the
+spread of the parent's runs (the distance between their quartiles);
+`within_bound` says its median is no worse than the parent's by more than
+the metric's bound.  The output digests of both sides are printed too, so a
+change of output bytes shows.  `--out` receives every run and the summary as
+JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def extract(revision: str, into: Path) -> str:
+    """The commit `revision` names, with its files extracted under `into`."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", revision],
+                            cwd=ROOT, check=True, capture_output=True,
+                            text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return commit
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced benchmark run in `checkout`: its result object, with the
+    run record's output digest added."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True)
+    *_, record, result = proc.stdout.splitlines()
+    out = json.loads(result)
+    out["digest_sha256"] = json.loads(record)["record"]["digest_sha256"]
+    return out
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric: each side's quartiles, the pair wins and both verdicts."""
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        sides = {side: [r[side]["metrics"][name]["value"] for r in runs]
+                 for side in ("parent", "change")}
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(sides["parent"], sides["change"]))
+        stats = {side: quartiles(values) for side, values in sides.items()}
+        parent, change = stats["parent"]["median"], stats["change"]["median"]
+        gain = change - parent if higher else parent - change
+        out[name] = {
+            "unit": spec["unit"], "better": spec["better"], **stats,
+            "wins": wins, "pairs": len(runs),
+            "gain": (wins >= 0.9 * len(runs)
+                     and gain > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            "within_bound": gain >= -spec["bound"] * parent,
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="git revision to compare the working tree with")
+    parser.add_argument("--workload", required=True,
+                        help="comma separated workload names")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("need at least 2 pairs, got %d" % args.pairs)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    report = {"parent": None, "change": "working tree", "seed": args.seed,
+              "seconds": args.seconds, "pairs": args.pairs,
+              "python": platform.python_version(),
+              "cpu_count": os.cpu_count(), "workloads": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {"parent": Path(tmp), "change": ROOT}
+        report["parent"] = extract(args.parent, checkouts["parent"])
+        for workload in args.workload.split(","):
+            runs = []
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                                "parent")
+                runs.append({"first": order[0], **{
+                    side: run_once(checkouts[side], workload, args.seed,
+                                   args.seconds) for side in order}})
+            summary = summarize(runs, metrics)
+            report["workloads"][workload] = {"summary": summary,
+                                             "runs": runs}
+            digests = {side: sorted({r[side]["digest_sha256"] for r in runs})
+                       for side in ("parent", "change")}
+            failed = {side: sum(r[side]["failed"] for r in runs)
+                      for side in ("parent", "change")}
+            print("%s: digests parent %s, change %s; failed ops parent %d, "
+                  "change %d" % (
+                      workload, ",".join(d[:8] for d in digests["parent"]),
+                      ",".join(d[:8] for d in digests["change"]),
+                      failed["parent"], failed["change"]))
+            for name, s in summary.items():
+                print("  %-18s parent %12.6g [%.6g, %.6g]  change %12.6g "
+                      "[%.6g, %.6g]  wins %d/%d  gain %s  within bound %s"
+                      % (name, s["parent"]["median"], s["parent"]["q1"],
+                         s["parent"]["q3"], s["change"]["median"],
+                         s["change"]["q1"], s["change"]["q3"], s["wins"],
+                         s["pairs"], s["gain"], s["within_bound"]))
+            sys.stdout.flush()
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
