@@ -67,9 +67,9 @@ _EXPORTS = {
     "witness": "moduli",
     "SearchBounds": "oracle",
     "bundle_status": "oracle",
+    "class_count": "oracle",
     "default_bounds": "oracle",
     "enumerate_witnesses": "oracle",
-    "orbit_count": "oracle",
     "verify_witness": "oracle",
 }
 _SUBMODULES = frozenset(_EXPORTS.values())

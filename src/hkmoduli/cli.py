@@ -22,12 +22,13 @@ Exit codes: 0 success, 1 usage error, 2 internal inconsistency (the closed
 formulas and the brute-force oracle, or two formulas, disagree; this is a
 bug report, not a user error).
 
-The --oracle flag cross-checks check/witness answers by brute-force lattice
-search, and a check's count and flags by orbit count and bundle status.
-The search runs within oracle.default_bounds, which provably contain a
-witness whenever one exists, so no wider search could change a verdict (the
-proof is in the oracle module docstring).  Those bounds hold 2*t^2 + 1
-candidate (a, b) pairs, a = t and |b| <= t^2; a search over more than
+The --oracle flag cross-checks check/witness answers by one brute-force
+lattice search within oracle.default_bounds, which provably contain a
+witness whenever one exists and one hit of every class the component count
+counts (the proof is in the oracle module docstring).  Its hits give the
+verdict, hold the witness, and with check give the count, whose flags are
+also compared with the bundle status.  Those bounds hold 4*t + 1 candidate
+(a, b) pairs, a = t and |b| <= 2t; a search over more than
 ORACLE_MAX_CANDIDATES of them is refused with exit 1 instead of being run.
 """
 
@@ -55,11 +56,11 @@ __all__ = ["main"]
 # which is also written when no parser has been built
 _PROG = "hkmoduli"
 
-# The estimate counts the pairs (a, b) of the default bounds, 2*t^2 + 1: the
-# cap is reached at t = 3163.  The oracle tests at most 2t of them when
-# t | 2m (t = 3162: ~1 ms) and none otherwise, but checks every hit, and half
-# the pairs can be hits, so pairs bound the work, tests do not (README).
-ORACLE_MAX_CANDIDATES = 20_000_000
+# The estimate counts the pairs (a, b) of the default bounds, 4*t + 1: the
+# cap is reached at t = 62501.  Every pair of the window can be a hit that is
+# checked through the lattice (t prime, t^2 | m, t^2 | d: all b prime to t),
+# so the cap is set from that cell; t = 62497 takes about 0.5 s (README).
+ORACLE_MAX_CANDIDATES = 250_001
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
                "witness_e,bpf_some_component,va_some_component,fujita_power,"
@@ -119,29 +120,28 @@ def _parse_t_list(text: str) -> list[int]:
 
 def _run_oracle(q: ModuliQuery, w: Optional[Witness],
                 rep: Optional[ModuliReport] = None):
-    # The default bounds searched, in which a witness was found exactly when
-    # `w` is one.  With a check's report, its count must also be the orbit
-    # count, and when w is (t, 1, e) its two flags the bundle status of that
-    # class.  Any other outcome raises InternalInconsistency.
-    from .oracle import (bundle_status, default_bounds, enumerate_witnesses,
-                         orbit_count, verify_witness)
-    tsq = q.t * q.t
-    candidates = 2 * tsq + 1
+    # One search of the default bounds: it must find a hit exactly when `w`
+    # is one, and `w` among its hits.  With a check's report, the count
+    # must also be the number of classes over those hits, and when w is
+    # (t, 1, e) its two flags the bundle status of that class.  Any other
+    # outcome raises InternalInconsistency.
+    from .oracle import (bundle_status, class_count, default_bounds,
+                         enumerate_witnesses)
+    candidates = 4 * q.t + 1
     if candidates > ORACLE_MAX_CANDIDATES:
         raise ValueError(
             "oracle search over its default bounds, a = %d and |b| <= %d, "
-            "would scan 2*t^2 + 1 = %d candidate pairs (a, b), above the cap "
-            "of %d"
-            % (q.t, tsq, candidates, ORACLE_MAX_CANDIDATES))
+            "would scan 4*t + 1 = %d candidate pairs (a, b), above the cap "
+            "of %d" % (q.t, 2 * q.t, candidates, ORACLE_MAX_CANDIDATES))
     bounds = default_bounds(q)
+    hits = enumerate_witnesses(q, bounds)
     status = bundle_status(q) if rep and w and w[:2] == (q.t, 1) else None
-    if (bool(enumerate_witnesses(q, bounds, stop_after=1)) != (w is not None)
-            or w and not verify_witness(w, q)
-            or rep and rep.components != orbit_count(q)
+    if (bool(hits) != (w is not None) or w and w not in hits
+            or rep and rep.components != class_count(q, hits)
             or status is not None and status != (rep.bpf_some_component,
                                                  rep.va_some_component)):
         raise InternalInconsistency(
-            "oracle (search within %r, orbit count, bundle status) disagrees "
+            "oracle (search within %r, class count, bundle status) disagrees "
             "with the formulas at %r" % (bounds, q))
     return bounds
 

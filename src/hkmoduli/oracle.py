@@ -16,26 +16,28 @@ h = gcd(m, a^2) and P = a^2/h, the condition a^2 | d + b^2*m depends on b
 only through b mod P, since (b + P)^2*m - b^2*m = 2*b*a^2*(m/h) +
 a^2*(a^2/h)*(m/h) is a multiple of a^2.  So the hits past the lowest P
 values of b are translates of the hits among them.  A search makes at most
-P tests per a; when t | 2m, h >= t/2 at a = t, so a default-bounds search
-makes at most 2t tests.  Only these identities of the lattice are used,
-which hold for any a, b and m: nothing from `moduli`, neither its residue
-criterion nor its counting cases, so the oracle still does not lean on the
-lemma below that puts the smallest residue b in [1, t].
+P tests per a, and at a = t that is at most 2t (below).  Only these
+identities of the lattice are used, which hold for any a, b and m: nothing
+from `moduli`, neither its residue criterion nor its counting cases nor its
+lemma that puts the smallest residue b in [1, t].
 
-For a non-empty space the explicit witness construction produces a class
-with a = t, 1 <= b <= t and e = (d + b^2*m)/t^2 <= d + m.  The default
-bounds (max_a = t, max_b = t^2, max_e = d + t^4*(n+1)) are wider on purpose:
-they contain the witness even for b up to t^2, so the oracle does not lean
-on the lemma that the smallest residue b lies in [1, t].  "No hit within
-default bounds" therefore genuinely means "empty".
+The default bounds (max_a = t, max_b = 2t, max_e = d + 4m) hold a hit
+whenever any search finds one, so "no hit within default bounds" genuinely
+means "empty", and no wider search can change that verdict.  A hit
+(a, b, e) of any bounds has t | a, gcd(a, 2m) = t, gcd(a, b) = 1 and
+a^2 | d + b^2*m.  So t | 2m, t^2 | d + b^2*m and gcd(t, b) = 1.  At a = t
+the period P = t^2/gcd(m, t^2) divides 2t: t divides 2m and 2t^2, hence
+2*gcd(m, t^2), so t^2 divides 2t*gcd(m, t^2).  With b' = b mod 2t, b' = b
+(mod P) gives t^2 | d + b'^2*m, and b' = b (mod t) gives gcd(t, b') = 1, so
+(t, b') is primitive with divisibility gcd(t, 2*b'*m) = gcd(t, 2m) = t.
+Its e' = (d + b'^2*m)/t^2 is a positive integer because d >= 1, and
+e' <= d + 4m because b'^2 < 4t^2.  So (t, b', e') is a hit inside the
+default bounds.
 
-No wider search can change that verdict, again by the lattice identities
-alone.  A hit (a, b, e) of any bounds has t | a, gcd(a, 2m) = t, gcd(a, b)
-= 1 and a^2 | d + b^2*m.  So t^2 | d + b^2*m and gcd(t, b) = 1.  With
-b' = b mod t^2, b'^2*m = b^2*m (mod t^2) and gcd(b', t) = gcd(b, t), so
-(t, b', (d + b'^2*m)/t^2) is a hit too (primitive, divisibility
-gcd(t, 2*b'*m) = gcd(t, 2m) = t), with 0 <= b' < t^2 and
-1 <= e <= d + t^2*m: inside the default bounds.
+The same hits give the component count (`class_count`): the class of v/t
+in the discriminant group is 2m*b/t mod 2m, which depends only on b mod t,
+and b' = b (mod t) above.  So every class that any search finds, the
+default search finds too.
 
 `bundle_status` is the oracle of the threshold flags: it reads the surface
 bounds of `bundles`, not the threshold formulas of `moduli`.  On the slice
@@ -46,7 +48,7 @@ t*L_n + delta induces.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bundles import (BundleSpec, BundleStatus, SurfaceKind,
                       induced_bundle_status)
@@ -56,9 +58,9 @@ from .moduli import ModuliQuery, Witness
 __all__ = [
     "SearchBounds",
     "bundle_status",
+    "class_count",
     "default_bounds",
     "enumerate_witnesses",
-    "orbit_count",
     "verify_witness",
 ]
 
@@ -70,10 +72,11 @@ class SearchBounds(NamedTuple):
 
 
 def default_bounds(q: ModuliQuery) -> SearchBounds:
-    """Bounds guaranteed to contain a witness whenever one exists at all."""
+    """Bounds guaranteed to contain a witness whenever one exists at all,
+    and one of every class that `class_count` counts (module docstring)."""
     t = q.t
-    return SearchBounds(max_a=t, max_b=t * t,
-                        max_e=q.d + t ** 4 * (q.n + 1))
+    return SearchBounds(max_a=t, max_b=2 * t,
+                        max_e=q.d + 4 * q.family.m(q.n))
 
 
 def enumerate_witnesses(
@@ -152,31 +155,42 @@ def verify_witness(w: Witness, q: ModuliQuery) -> bool:
     return bbf_square(c) == 2 * q.d and divisibility(c) == q.t
 
 
-def orbit_count(q: ModuliQuery) -> int:
-    """The number of units b mod t with b^2*m = -d (mod t^2), halved when
-    t > 2: a plain count over b in [1, t], with no closed form.
+def class_count(q: ModuliQuery, hits: Iterable[Witness]) -> int:
+    """The number of classes of v/t in A = L*/L = Z/2m, up to sign, over
+    the hits v = a*(f + e*g) + b*delta of a search for q.
 
-    By Eichler's criterion the monodromy orbits of polarizations of square
-    2d and divisibility t are the classes of such b up to sign, so for
-    K3^[n] type this is the number of connected components
-    (Gritsenko-Hulek-Sankaran 2009).  The Kummer-type monodromy group is
-    smaller (Mongardi 2016), and there the match with the component count
-    is empirical: the acceptance suite checks it on a grid.  For t > 2, b
-    and -b are distinct units mod t (b = -b forces t | 2b, so t | 2), which
-    makes the halving exact.
+    div(v) = t, so v/t lies in the dual lattice L*, and A is generated by
+    delta/2m: v/t = (a/t)*(f + e*g) + (2m*b/t)*(delta/2m), with t | a, so
+    the class of v/t is 2m*b/t mod 2m.  It is folded to min(c, -c mod 2m).
+    Over the hits of the default bounds this counts every class that any
+    search finds (module docstring), with no special case at t <= 2 (there
+    every class is its own negative).
 
-    The count is 0 when t does not divide 2m: div(v) = gcd(a, 2*b*m) with
-    gcd(a, b) = 1, so div(v) = t forces t | 2m.  Once t | 2m the congruence
-    depends only on b mod t, because (b + t)^2 * m = b^2*m (mod t^2).
+    By Eichler's criterion (the lattice L of either family contains U + U)
+    the orbit of a primitive v under the isometries of O+(L) that act as +1
+    or -1 on A is fixed by v^2 and the class of v/t up to sign; both signs
+    occur.  For K3^[n] type that group is the monodromy group, so this is
+    the number of connected components (Gritsenko-Hulek-Sankaran 2009).
+
+    For Kummer type the count is the same by the following argument.  It
+    consumes Mongardi's description (2016) of the monodromy group,
+    Mon^2(Kum_n) = {g in W : det(g)*chi(g) = 1} for W = {g in O+(L) : g
+    acts as +-1 on A} and chi(g) = +-1 the sign of that action, as a
+    statement; it was not checked against the source here.  Take
+    u = f2 - g2 in the second copy of U: u^2 = -2 and u is orthogonal to
+    v, which lies in the first U + <delta>.  The reflection
+    s(x) = x + (x.u)*u is an integral isometry of det -1; as a reflection
+    in a negative vector it keeps the orientation of positive 3-planes, so
+    it lies in O+(L); x.u is an integer for every x in L*, so s acts as
+    +1 on A; and s(v) = v.  So s lies in W but not in Mon^2, which has
+    index 2 in W: every g in W is g' or g'*s with g' in Mon^2, and
+    g'*s(v) = g'(v).  So no W-orbit splits into two monodromy orbits, and
+    the count of W-orbits is the component count.
+    Acceptance criterion 12 checks s on the full Kummer-type lattice.
     """
-    family, n, d, t = q
-    m = family.m(n)
-    if (2 * m) % t:
-        return 0
-    tsq = t * t
-    roots = sum(1 for b in range(1, t + 1)
-                if gcd(b, t) == 1 and (b * b * m + d) % tsq == 0)
-    return roots // 2 if t > 2 else roots
+    two_m = 2 * q.family.m(q.n)
+    classes = (two_m // q.t * w.b % two_m for w in hits)
+    return len({min(c, -c % two_m) for c in classes})
 
 
 _SURFACES = {Family.K3HILB: SurfaceKind.K3, Family.KUMMER: SurfaceKind.ABELIAN}

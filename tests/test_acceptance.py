@@ -15,10 +15,10 @@ from hkmoduli.arith import is_quadratic_residue
 from hkmoduli.bundles import BundleSpec, SurfaceKind, induced_bundle_status, \
     max_k_very_ample
 from hkmoduli.lattice import Family, LatticeClass, divisibility, \
-    gram_divisibility, rank3_model
+    full_model, gram_divisibility, rank3_model
 from hkmoduli.moduli import ModuliQuery, component_count, is_nonempty, \
-    prime_power_connected, thresholds, witness
-from hkmoduli.oracle import enumerate_witnesses, orbit_count, verify_witness
+    prime_power_connected, report, thresholds, witness
+from hkmoduli.oracle import class_count, enumerate_witnesses, verify_witness
 
 
 def divisors(m):
@@ -315,21 +315,26 @@ def test_criterion_9_verification_boundary_documented():
              "used as statements, not re-verified)")
 
 
-def test_criterion_10_component_count_matches_orbit_count():
-    # The value of the count, not just its sign, against a plain count of
-    # the residues b mod t up to sign.  For K3^[n] type Eichler's criterion
-    # makes the two equal (Gritsenko-Hulek-Sankaran 2009); the Kummer-type
-    # monodromy group is smaller (Mongardi 2016), so for `kum` the match is
-    # empirical and this grid is the evidence.
+def test_criterion_10_component_count_matches_class_count():
+    # The value of the count, not just its sign, against the classes of v/t
+    # in the discriminant group, up to sign, over the oracle's hits (one
+    # default search per cell, which finds every class; oracle module
+    # docstring).  By Eichler's criterion these classes are the orbits of
+    # O+(L) elements acting as +-1 on it.  For K3^[n] type that group is
+    # the monodromy group (Gritsenko-Hulek-Sankaran 2009).  For Kummer type
+    # the monodromy group is its index-2 subgroup of Mongardi 2016, but a
+    # reflection in the second U lies outside it and fixes every witness,
+    # so no orbit splits (`oracle.class_count`, checked by criterion 12).
     offenders = []
     queries = 0
-    for q in _query_grid(10):
-        count, orbits = component_count(q), orbit_count(q)
-        if count != orbits:
-            offenders.append((q, count, orbits))
+    for q in _query_grid(30):
+        count = component_count(q)
+        classes = class_count(q, enumerate_witnesses(q))
+        if count != classes:
+            offenders.append((q, count, classes))
         queries += 1
     _verdict(10, not offenders,
-             "%d queries, %d component/orbit count splits%s"
+             "%d queries, %d component/class count splits%s"
              % (queries, len(offenders),
                 "; first: %r" % offenders[:3] if offenders else ""))
 
@@ -366,4 +371,69 @@ def test_criterion_11_thresholds_match_the_bundle_status():
     _verdict(11, not offenders,
              "%d cells (t >= 2, d = t^2 e - m), %d threshold/bundle splits%s"
              % (cells, len(offenders),
+                "; first: %r" % offenders[:3] if offenders else ""))
+
+
+def _det(rows):
+    # exact Gaussian elimination over the rationals
+    a = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for i in range(len(a)):
+        piv = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            a[i], a[piv] = a[piv], a[i]
+            out = -out
+        out *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return out
+
+
+def test_criterion_12_kummer_reflection_fixes_the_witnesses():
+    # The Kummer-type count is the count of orbits under O+(L) elements
+    # acting as +-1 on the discriminant group, because the reflection
+    # s(x) = x + (x.u)u in u = f2 - g2 lies in that group, outside the
+    # monodromy group, and fixes every witness (`oracle.class_count`).
+    # Checked on the Gram matrix of the full lattice U^3 + <-2m>, basis
+    # (f1, g1, f2, g2, f3, g3, delta): u^2 = -2, s is an integral isometry
+    # of det -1, s fixes report's witness t*(f1 + e*g1) + b*delta, and
+    # s(delta/2m) - delta/2m lies in L, so s acts trivially on L*/L.
+    offenders = []
+    witnesses = 0
+    for n in range(2, 15):
+        gram = full_model(KUM, n).gram
+        rank = len(gram)
+        u = (0, 0, 1, -1, 0, 0, 0)
+        gu = [sum(g * x for g, x in zip(row, u)) for row in gram]
+        r = [[(i == j) + u[i] * gu[j] for j in range(rank)]
+             for i in range(rank)]
+        rt_g_r = [[sum(r[k][i] * gram[k][l] * r[l][j]
+                       for k in range(rank) for l in range(rank))
+                   for j in range(rank)] for i in range(rank)]
+        if (sum(map(int.__mul__, u, gu)) != -2 or rt_g_r != [
+                list(row) for row in gram] or _det(r) != -1):
+            offenders.append(("isometry", n))
+        m = KUM.m(n)
+        dual = [Fraction(0)] * (rank - 1) + [Fraction(1, 2 * m)]
+        moved = [sum(x * y for x, y in zip(row, dual)) - z
+                 for row, z in zip(r, dual)]
+        if any(x.denominator != 1 for x in moved):
+            offenders.append(("discriminant", n))
+        for t in divisors(2 * m):
+            for d in range(1, 80):
+                w = report(ModuliQuery(KUM, n, d, t)).witness
+                if w is None:
+                    continue
+                a, b, e = w
+                v = [a, a * e, 0, 0, 0, 0, b]
+                if [sum(map(int.__mul__, row, v)) for row in r] != v:
+                    offenders.append((n, d, t, w))
+                witnesses += 1
+    _verdict(12, not offenders and witnesses > 1000,
+             "n in [2,14]: s = reflection in f2 - g2 is an isometry of det "
+             "-1, trivial on L*/L, fixing %d Kummer witnesses; %d failures%s"
+             % (witnesses, len(offenders),
                 "; first: %r" % offenders[:3] if offenders else ""))

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import time
 from math import isqrt
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hkmoduli import cli, moduli
 from hkmoduli.lattice import Family
 from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
-                             ModuliReport, reports, thresholds)
+                             ModuliReport, Witness, reports, thresholds)
 
 
 def divisors(m):
@@ -89,27 +90,35 @@ def test_check_with_oracle(capsys):
     obj = json.loads(out)
     assert obj["oracle"]["agrees"] is True
     assert obj["oracle"]["witness_found"] is True
-    assert obj["oracle"]["bounds"] == {"max_a": 2, "max_b": 4, "max_e": 51}
+    assert obj["oracle"]["bounds"] == {"max_a": 2, "max_b": 4, "max_e": 7}
 
 
 def test_check_with_oracle_at_large_t(capsys):
-    # t = 1000 | 2m = 2000, and t = 3162 | 2m = 3162, the largest t whose
-    # default search, 2*t^2 + 1 pairs, is under the cap; gcd(m, t^2) = m
-    # there, so the oracle tests a window of 2t values of b, not t^2.
-    # d = 1 is empty (t must divide 2d); d = t^2 - m = -(1^2 * m) mod t^2 is
-    # non-empty, witness (t, 1, 1).
-    for n, t in ((1001, 1000), (1582, 3162)):
-        for d, non_empty in ((1, False), (t * t - n + 1, True)):
+    # t = 62497 is the largest prime t whose default search, 4*t + 1 pairs,
+    # is under the cap, and t = 62500 the largest t.  With n = t + 1, d = 1
+    # is empty (t must divide 2d) and d = t^2 - t non-empty with few hits
+    # (b^2 = 1 mod t), witness (t, 1, 1).  With n = t^2 + 1 and d = t^2
+    # (t^2 | m, t^2 | d) every b prime to t is a hit, the most a search
+    # checks: at t = 62497, 4t - 4 hits in ~0.5 s (README).  Each query
+    # answers within 1 s.
+    for t in (62497, 62500):
+        for n, d, non_empty in ((t + 1, 1, False), (t + 1, t * t - t, True),
+                                (t * t + 1, t * t, True)):
+            start = time.perf_counter()
             code, out, _ = run(capsys, "check", "--family", "k3n",
                                "--n", str(n), "--d", str(d), "--t", str(t),
                                "--format", "json", "--oracle")
+            elapsed = time.perf_counter() - start
             assert code == 0
             obj = json.loads(out)
             assert obj["non_empty"] is non_empty
-            assert obj["oracle"]["agrees"] is True
-            assert obj["oracle"]["witness_found"] is non_empty
-            assert obj["oracle"]["bounds"]["max_a"] == t
-        assert obj["witness"] == [t, 1, 1]
+            assert obj["oracle"] == {
+                "bounds": {"max_a": t, "max_b": 2 * t,
+                           "max_e": d + 4 * (n - 1)},
+                "witness_found": non_empty, "agrees": True}
+            if non_empty:
+                assert obj["witness"][:2] == [t, 1]
+            assert elapsed < 1.0, (t, n, d, elapsed)
 
 
 # ------------------------------------------------------------------- table
@@ -607,9 +616,26 @@ def test_check_notes_are_the_report_notes(capsys):
                     "bpf False", "va True", "va False"}
 
 
+def test_oracle_checks_the_witness_is_a_hit(capsys, monkeypatch):
+    # (2, 1, 2) has square 2*(4*2 - 1) = 14, not 2d = 6: a witness the
+    # formulas would print must be among the oracle's hits, even where the
+    # search finds the space non-empty
+    argv = ["--family", "k3n", "--n", "2", "--d", "3", "--t", "2", "--oracle"]
+    wrong = Witness(2, 1, 2)
+    monkeypatch.setattr(cli, "witness", lambda q: wrong)
+    code, out, err = run(capsys, "witness", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+    rep = moduli.report(ModuliQuery(Family.K3HILB, 2, 3, 2))
+    monkeypatch.setattr(cli, "report", lambda q: rep._replace(witness=wrong))
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+
+
 def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
     # A count one too high on a non-empty cell keeps the sign guard of
-    # `report` quiet; only the oracle's orbit count sees it.
+    # `report` quiet; only the oracle's class count sees it.
     count_detail = moduli._count_detail
 
     def one_too_many(dec, t):
@@ -680,7 +706,7 @@ def test_check_human_golden(capsys):
         "note: very ample on some component iff d >= 496/7 (minimal integer "
         "d = 71); d = 48: not satisfied\n"
         "note: component count used exact halving (rho = 0 case)\n"
-        "oracle: agrees (witness found: yes; bounds a<=8 |b|<=64 e<=73776)\n")
+        "oracle: agrees (witness found: yes; bounds a<=8 |b|<=16 e<=112)\n")
     code, out, err = run(capsys, "check", "--family", "kum", "--n", "5",
                          "--d", "10", "--t", "1")
     assert (code, err) == (0, "")
@@ -702,7 +728,7 @@ def test_check_human_golden(capsys):
     assert lines[:4] == ["query: family=kum n=3 d=1 t=4", "non-empty: no",
                          "components: 0", "witness: none"]
     assert lines[-1] == ("oracle: agrees (witness found: no; "
-                         "bounds a<=4 |b|<=16 e<=1025)")
+                         "bounds a<=4 |b|<=8 e<=17)")
 
 
 # -------------------------------------------------------- errors and bounds
@@ -756,46 +782,50 @@ def _no_search(*args, **kwargs):
 
 
 def test_oracle_refuses_large_t(capsys, monkeypatch):
-    # default bounds at t: one multiple of t times (2 * t^2 + 1); t = 3163
+    # default bounds at t: one multiple of t times (4 * t + 1); t = 62501
     # is the smallest t refused
     monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
-    for n, t, estimate in (("3201", "3200", "20480001"),
-                           ("3164", "3163", "20009139")):
-        code, out, err = run(capsys, "check", "--family", "k3n", "--n", n,
-                             "--d", "1", "--t", t, "--oracle")
-        assert code == 1
-        assert out == ""
-        assert estimate in err and str(cli.ORACLE_MAX_CANDIDATES) in err
-        code, _, err = run(capsys, "witness", "--family", "k3n", "--n", n,
-                           "--d", "1", "--t", t, "--oracle")
-        assert code == 1 and estimate in err
+    for n, t, estimate in (("10001", "100000", "400001"),
+                           ("62502", "62501", "250005")):
+        for command in ("check", "witness"):
+            code, out, err = run(capsys, command, "--family", "k3n",
+                                 "--n", n, "--d", "1", "--t", t, "--oracle")
+            assert (code, out) == (1, "")
+            assert err == (
+                "hkmoduli: error: oracle search over its default bounds, "
+                "a = %s and |b| <= %d, would scan 4*t + 1 = %s candidate "
+                "pairs (a, b), above the cap of %d\n"
+                % (t, 2 * int(t), estimate, cli.ORACLE_MAX_CANDIDATES))
 
 
 def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):
-    # The refusal sizes the search from t alone as 2t^2 + 1, the pairs
-    # (max_a // t) * (2*max_b + 1) of the default bounds; at t = 3162, the
-    # largest t under the cap, the search runs within exactly those bounds.
+    # The refusal sizes the search from t alone as 4t + 1, the pairs
+    # (max_a // t) * (2*max_b + 1) of the default bounds; at t = 62500, the
+    # largest t under the cap, each query runs exactly one search, within
+    # exactly those bounds.
     from hkmoduli.oracle import default_bounds
 
     for family in Family:
-        for n in (2, 3, 17, 1582):
-            for t in (1, 2, 7, 3162, 3163):
+        for n in (2, 3, 17, 62501):
+            for t in (1, 2, 7, 62500, 62501):
                 b = default_bounds(ModuliQuery(family, n, 1, t))
-                assert (b.max_a // t) * (2 * b.max_b + 1) == 2 * t * t + 1
-    assert 2 * 3162 ** 2 + 1 <= cli.ORACLE_MAX_CANDIDATES
+                assert (b.max_a // t) * (2 * b.max_b + 1) == 4 * t + 1
+    assert 4 * 62500 + 1 <= cli.ORACLE_MAX_CANDIDATES < 4 * 62501 + 1
     searched = []
 
-    def search(q, bounds, stop_after):
-        searched.append((q, bounds))
+    def search(*args, **kwargs):
+        searched.append((args, kwargs))
         return []
 
     monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", search)
-    # d = 1 is empty at t = 3162 (t must divide 2d), so no hit is consistent
-    code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "1582",
-                       "--d", "1", "--t", "3162", "--oracle")
-    assert code == 0 and "oracle: agrees" in out
-    [(q, bounds)] = searched
-    assert bounds == default_bounds(q)
+    # d = 1 is empty at t = 62500 (t must divide 2d), so no hit is consistent
+    for command in ("check", "witness"):
+        searched.clear()
+        code, out, _ = run(capsys, command, "--family", "k3n", "--n",
+                           "62501", "--d", "1", "--t", "62500", "--oracle")
+        assert code == 0 and "oracle: agrees" in out
+        [((q, bounds), kwargs)] = searched
+        assert bounds == default_bounds(q) and kwargs == {}
 
 
 def test_internal_inconsistency_exits_2(capsys, monkeypatch):
@@ -825,7 +855,7 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["oracle"] == {
-        "bounds": {"max_a": 2, "max_b": 4, "max_e": 51},
+        "bounds": {"max_a": 2, "max_b": 4, "max_e": 7},
         "witness_found": True, "agrees": True}
     # and with sys.argv read by main itself: a trailing argument is refused
     # by the top-level parser, as parse_args refuses it

@@ -12,9 +12,9 @@ from hkmoduli.moduli import (ModuliQuery, Witness, component_count,
 from hkmoduli.oracle import (
     SearchBounds,
     bundle_status,
+    class_count,
     default_bounds,
     enumerate_witnesses,
-    orbit_count,
     verify_witness,
 )
 
@@ -31,39 +31,61 @@ KUM = Family.KUMMER
 
 def test_default_bounds():
     q = ModuliQuery(K3, 2, 3, 2)
-    assert default_bounds(q) == SearchBounds(2, 4, 3 + 16 * 3)
+    assert default_bounds(q) == SearchBounds(2, 4, 3 + 4 * 1)
     q = ModuliQuery(KUM, 5, 7, 1)
-    assert default_bounds(q) == SearchBounds(1, 1, 13)
+    assert default_bounds(q) == SearchBounds(1, 2, 7 + 4 * 6)
 
 
 def test_no_wider_search_changes_a_verdict():
     # The default bounds are complete (module docstring): a hit (a, b, e) of
-    # any search gives the hit (t, b mod t^2, ...) inside them.  So a search
-    # with four times max_a, four times t^2 for max_b and sixteen times
-    # max_e finds a witness exactly where the default search does.
+    # any search gives the hit (t, b mod 2t, ...) inside them, with the same
+    # class b mod t.  So the bounds (t, t^2, d + t^4*(n+1)), which were the
+    # default ones until |b| <= 2t was shown complete, and a search with
+    # four times their max_a and max_b and sixteen times their max_e find a
+    # witness exactly where the default search does, and the t^2 search
+    # finds the same classes.
     cells = 0
     for family in (K3, KUM):
         for n in range(2, 13):
             for t in divisors(2 * family.m(n)):
                 for d in range(1, 61):
                     q = ModuliQuery(family, n, d, t)
-                    wide = SearchBounds(4 * t, 4 * t * t,
-                                        16 * default_bounds(q).max_e)
-                    assert (bool(enumerate_witnesses(q, wide, stop_after=1))
-                            == bool(enumerate_witnesses(q, stop_after=1))), q
+                    square = SearchBounds(t, t * t, d + t ** 4 * (n + 1))
+                    wide = SearchBounds(4 * t, 4 * t * t, 16 * square.max_e)
+                    hits = enumerate_witnesses(q)
+                    square_hits = enumerate_witnesses(q, square)
+                    assert (bool(hits) == bool(square_hits)
+                            == bool(enumerate_witnesses(q, wide,
+                                                        stop_after=1))), q
+                    assert (class_count(q, hits)
+                            == class_count(q, square_hits)), q
                     cells += 1
     assert cells == 6180
 
 
-def test_orbit_count_pins():
+def _classes(q):
+    return class_count(q, enumerate_witnesses(q))
+
+
+def test_class_count_pins():
     # roots b = 1, 4 mod 15 and b = 1, 2, 4 mod 9, each up to sign
-    assert orbit_count(ModuliQuery(K3, 16, 210, 15)) == 2
-    assert orbit_count(ModuliQuery(K3, 28, 54, 9)) == 3
-    # t = 2: the one root b = 1 is not halved
-    assert orbit_count(ModuliQuery(K3, 2, 3, 2)) == 1
-    assert orbit_count(ModuliQuery(K3, 2, 2, 2)) == 0
+    assert _classes(ModuliQuery(K3, 16, 210, 15)) == 2
+    assert _classes(ModuliQuery(K3, 28, 54, 9)) == 3
+    # t = 2: the one root b = 1 is its own negative class m mod 2m
+    assert _classes(ModuliQuery(K3, 2, 3, 2)) == 1
+    assert _classes(ModuliQuery(K3, 2, 2, 2)) == 0
     # t = 3 does not divide 2m = 2, although b = 1 solves b^2*m = -d mod 9
-    assert orbit_count(ModuliQuery(K3, 2, 8, 3)) == 0
+    assert _classes(ModuliQuery(K3, 2, 8, 3)) == 0
+
+
+def test_class_count_reads_b_mod_t_up_to_sign():
+    # m = 3, t = 6: the class of v/t is b mod 6, so b and b + 6 fall
+    # together, and b = 1 with b = -1 = 5; the class of b = 0 mod t is 0
+    q = ModuliQuery(K3, 4, 3, 6)
+    assert class_count(q, [Witness(6, 1, 1), Witness(6, 7, 4),
+                           Witness(6, -1, 1), Witness(6, 5, 3)]) == 1
+    assert class_count(q, [Witness(6, 1, 1), Witness(12, 6, 1)]) == 2
+    assert class_count(q, []) == 0
 
 
 def test_component_count_needs_the_full_p_part_of_w():
@@ -72,7 +94,7 @@ def test_component_count_needs_the_full_p_part_of_w():
     # p | t1, which needs 32 | 2m at p = 2: outside the n <= 10 grid of
     # criterion 10.  A count that keeps one factor p instead of p^k reads 1.
     q = ModuliQuery(K3, 17, 48, 8)
-    assert component_count(q) == orbit_count(q) == 2
+    assert component_count(q) == _classes(q) == 2
 
 
 @st.composite
@@ -93,9 +115,9 @@ def count_queries(draw):
 @settings(max_examples=500, deadline=None)
 @given(count_queries())
 @example(ModuliQuery(K3, 17, 48, 8))
-def test_component_count_matches_orbit_count(q):
+def test_component_count_matches_class_count(q):
     # the count by value beyond criterion 10's grid (n <= 10, d <= 200)
-    assert component_count(q) == orbit_count(q)
+    assert component_count(q) == _classes(q)
 
 
 def test_enumerate_contains_known_classes():
@@ -351,8 +373,8 @@ def test_only_a_with_gcd_2m_equal_to_t_are_tested(monkeypatch):
 
 
 def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(capsys):
-    # Without the gcd(a, 2m) = t step, this search tests t^2 values of b
-    # (gcd(m, t^2) = 1 here): 0.8 s.  With it, no test at all.
+    # Without the gcd(a, 2m) = t step, this search tests all 4t + 1 values
+    # of b (gcd(m, t^2) = 1 here).  With it, no test at all.
     from hkmoduli import cli
 
     start = time.perf_counter()

@@ -52,14 +52,21 @@ def extract(revision: str, into: Path) -> str:
     return commit
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             pair: int, side: str) -> dict:
     """One untraced benchmark run in `checkout`: its result object, with the
-    run record's output digest added."""
+    run record's output digest added.  A run that exits non-zero ends the
+    whole comparison with exit 1, after writing which run it was, its exit
+    code and its stderr to stderr."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        sys.stderr.write("%s: pair %d, %s side: bench/run.py exited %d\n%s"
+                         % (workload, pair, side, proc.returncode,
+                            proc.stderr))
+        sys.exit(1)
     *_, record, result = proc.stdout.splitlines()
     out = json.loads(result)
     out["digest_sha256"] = json.loads(record)["record"]["digest_sha256"]
@@ -121,7 +128,8 @@ def main(argv: list[str] | None = None) -> int:
                                                                 "parent")
                 runs.append({"first": order[0], **{
                     side: run_once(checkouts[side], workload, args.seed,
-                                   args.seconds) for side in order}})
+                                   args.seconds, i, side)
+                    for side in order}})
             summary = summarize(runs, metrics)
             report["workloads"][workload] = {"summary": summary,
                                              "runs": runs}
