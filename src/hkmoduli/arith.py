@@ -32,9 +32,14 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of m >= 1 as ((p, multiplicity), ...).
 
     Primes appear in strictly increasing order; factorize(1) == ().
-    Plain trial division: every modulus in this package is tiny (divisors
-    of 2n-2 or 2n+2, small discriminants), so anything fancier would be
-    dead weight.  Memoized: the same few moduli recur across a sweep.
+    Plain trial division by 2 and the odd numbers, which stops once the
+    square of the divisor exceeds what is left of m: about max(q, sqrt(p))
+    / 2 divisions, p the largest prime factor of m and q the next one, so
+    sqrt(p) / 2 for a prime m.  The moduli are not all small: _decompose
+    factorizes w and t1, and prime_power_connected factorizes t, which are
+    as large as a query asks; ROADMAP item 3 records 145 s for
+    factorize(2^61 - 1).  Memoized: the same few moduli recur across a
+    sweep.
 
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))

@@ -13,10 +13,12 @@ parsed output reproduces the bytes.  Each output shape is written from one
 format string with the bytes of json.dumps(obj, indent=2), so json, whose
 encoder runs in pure Python once an indent is set, is not imported.
 
-A plain `check` or `witness` argv (each option once, as its own word
-followed by its value) is read without argparse; see _plain_args.  argparse
-is imported and the parsers are built only for `table`, `kva`, any other
-argv, --help and usage errors, so those keep argparse's messages.
+The four commands and their options are declared once, in _COMMANDS.  A
+plain argv of any command (each option once, as its own word followed by
+its value) is read from that table without argparse; see _plain_args.
+argparse is imported and the parser is built from the same table only for
+--help, usage errors, abbreviations, --opt=value and repeated options, so
+those keep argparse's messages.
 
 Exit codes: 0 success, 1 usage error, 2 internal inconsistency (the closed
 formulas and the brute-force oracle, or two formulas, disagree; this is a
@@ -38,7 +40,8 @@ import functools
 import itertools
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
+                    Sequence)
 
 # argparse, the bundles module and the oracle are imported in the
 # branches that use them, so a one-shot call does not pay for what it does
@@ -70,52 +73,34 @@ _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
 # does not import the bundles module (a test keeps the two equal)
 _SURFACES = ("k3", "abelian")
 
-# The options of check and witness, each with the keyword arguments of its
-# add_argument call.  The parsers are declared from this table and
-# _plain_args reads a plain argv by it, so the two cannot disagree on an
-# option's name, choices or type.
-_ONE_QUERY_OPTIONS = {
-    "--family": {"required": True, "choices": [f.value for f in Family],
-                 "help": "k3n: Hilbert schemes of points on K3; "
-                         "kum: generalized Kummer varieties"},
-    "--n": {"required": True, "type": int,
-            "help": "half the complex dimension, n >= 2"},
-    "--d": {"required": True, "type": int, "help": "half the BBF square"},
-    "--t": {"required": True, "type": int, "help": "divisibility"},
-    "--format": {"choices": ["human", "json"], "default": "human"},
-    "--oracle": {"action": "store_true",
-                 "help": "cross-check with brute-force lattice search"},
-}
-
-
 def _parse_range(text: str) -> range:
-    # ArgumentTypeError (not ValueError) so argparse reports these messages
-    # verbatim instead of a generic "invalid value".
-    import argparse
-
     lo, sep, hi = text.partition("..")
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected LO..HI, got %r" % (text,)) from None
+        _refuse("expected LO..HI, got %r" % (text,))
     if a < 1 or b < a:
-        raise argparse.ArgumentTypeError(
-            "need 1 <= LO <= HI, got %r" % (text,))
+        _refuse("need 1 <= LO <= HI, got %r" % (text,))
     return range(a, b + 1)
 
 
 def _parse_t_list(text: str) -> list[int]:
-    import argparse
-
-    message = "need a comma separated list of t >= 1, got %r" % (text,)
     try:
         out = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
+        out = []
     if not out or any(t < 1 for t in out):
-        raise argparse.ArgumentTypeError(message)
+        _refuse("need a comma separated list of t >= 1, got %r" % (text,))
     return out
+
+
+def _refuse(message: str) -> NoReturn:
+    # ArgumentTypeError (not ValueError) so argparse reports these messages
+    # verbatim instead of a generic "invalid value"; argparse is imported
+    # here, so a valid value does not load it.
+    import argparse
+
+    raise argparse.ArgumentTypeError(message) from None
 
 
 def _run_oracle(q: ModuliQuery, w: Optional[Witness],
@@ -343,30 +328,78 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-_ONE_QUERY_COMMANDS = {"check": _cmd_check, "witness": _cmd_witness}
+# The options of check and witness, each with the keyword arguments of its
+# add_argument call; table takes its --family and --n from here.
+_QUERY = {
+    "--family": {"required": True, "choices": [f.value for f in Family],
+                 "help": "k3n: Hilbert schemes of points on K3; "
+                         "kum: generalized Kummer varieties"},
+    "--n": {"required": True, "type": int,
+            "help": "half the complex dimension, n >= 2"},
+    "--d": {"required": True, "type": int, "help": "half the BBF square"},
+    "--t": {"required": True, "type": int, "help": "divisibility"},
+    "--format": {"choices": ["human", "json"], "default": "human"},
+    "--oracle": {"action": "store_true",
+                 "help": "cross-check with brute-force lattice search"},
+}
+
+# Each command's function, help and options, in the order of --help.  The
+# parser is declared from this table and _plain_args reads a plain argv by
+# it, so the two cannot disagree on an option's name, choices or type.
+_COMMANDS = {
+    "check": (_cmd_check, "full report for one query", _QUERY),
+    "table": (_cmd_table, "sweep d and t at fixed family and n", {
+        "--family": _QUERY["--family"],
+        "--n": _QUERY["--n"],
+        "--d-range": {"required": True, "type": _parse_range,
+                      "metavar": "LO..HI"},
+        "--t": {"required": True, "type": _parse_t_list,
+                "metavar": "T1,T2,..."},
+        "--format": {"choices": ["human", "json", "csv"], "default": "human"},
+    }),
+    "kva": (_cmd_kva, "k-very-ampleness bound on a surface", {
+        "--surface": {"required": True, "choices": _SURFACES},
+        "--a": {"required": True, "type": int, "help": "multiple of H"},
+        "--e": {"required": True, "type": int, "help": "H^2 = 2e"},
+        "--n": {"type": int, "default": None,
+                "help": "also report the induced bundle status at this n"},
+        "--format": {"choices": ["human", "json"], "default": "human"},
+    }),
+    "witness": (_cmd_witness, "polarization class for one query", _QUERY),
+}
+
+# Every option's dest, as argparse would derive it (--d-range: d_range), so
+# that _plain_args names a field with one lookup.
+for _command in _COMMANDS.values():
+    for _option, _spec in _command[2].items():
+        _spec.setdefault("dest", _option[2:].replace("-", "_"))
+del _command, _option, _spec
 
 
 def _plain_args(argv: Sequence[str]) -> Optional[dict]:
-    """The fields argparse would set for a `check` or `witness` argv in
-    plain form, func included, or None for any other argv.
+    """The fields argparse would set for an argv in plain form, func
+    included and command left out, or None for any other argv.
 
-    Plain: after the command name, only the option words of
-    _ONE_QUERY_OPTIONS, each at most once and every required one present;
-    an option that takes a value is followed by a word that does not start
-    with "-" and that its choices hold or its type (int) accepts.  argparse
-    reads such an argv to the same fields.  Any other argv is left to it,
-    so usage errors, --help, abbreviations, --opt=value and repeated
-    options all come from argparse.
+    Plain: a command of _COMMANDS, then only the option words of that
+    command, each at most once and every required one present; an option
+    that takes a value is followed by a word that does not start with "-"
+    and that its choices hold or its type accepts.  argparse reads such an
+    argv to the same fields.  Any other argv is left to it, so usage
+    errors, --help, abbreviations, --opt=value and repeated options all
+    come from argparse.
     """
-    func = _ONE_QUERY_COMMANDS.get(argv[0]) if argv else None
-    if func is None:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
+    func, _, options = command
     fields = {"func": func}
     words = iter(argv[1:])
     for word in words:
-        spec = _ONE_QUERY_OPTIONS.get(word)
-        name = word[2:]
-        if spec is None or name in fields:
+        spec = options.get(word)
+        if spec is None:
+            return None
+        name = spec["dest"]
+        if name in fields:
             return None
         if "action" in spec:  # --oracle, a store_true flag
             fields[name] = True
@@ -375,15 +408,18 @@ def _plain_args(argv: Sequence[str]) -> Optional[dict]:
         if value[:1] == "-":
             return None
         if "type" in spec:
+            # int raises ValueError and _refuse ArgumentTypeError; that class
+            # is looked up only once a value is refused, so a valid value
+            # does not import argparse
             try:
                 value = spec["type"](value)
-            except ValueError:
+            except (ValueError, __import__("argparse").ArgumentTypeError):
                 return None
         elif value not in spec["choices"]:
             return None
         fields[name] = value
-    for option, spec in _ONE_QUERY_OPTIONS.items():
-        name = option[2:]
+    for spec in options.values():
+        name = spec["dest"]
         if name not in fields:
             if spec.get("required"):
                 return None
@@ -391,12 +427,10 @@ def _plain_args(argv: Sequence[str]) -> Optional[dict]:
     return fields
 
 
-# built on first use, not at import, and never for a plain check or witness:
-# it costs several times a `check` query
+# built on first use, not at import, and never for a plain argv: it costs
+# several times a `check` query
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser,
-                        dict[str, argparse.ArgumentParser]]:
-    # the top-level parser and each command's own parser, by command name
+def _parser() -> argparse.ArgumentParser:
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -406,42 +440,16 @@ def _parsers() -> tuple[argparse.ArgumentParser,
             self.print_usage(sys.stderr)
             self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
-    def add_options(p: argparse.ArgumentParser,
-                    options: Iterable[str]) -> None:
-        for option in options:
-            p.add_argument(option, **_ONE_QUERY_OPTIONS[option])
-
     parser = _Parser(prog=_PROG,
                      description="Moduli of polarized hyperkaehler "
                                  "manifolds: exact arithmetic answers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="full report for one query")
-    add_options(p, _ONE_QUERY_OPTIONS)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("table", help="sweep d and t at fixed family and n")
-    add_options(p, ("--family", "--n"))
-    p.add_argument("--d-range", required=True, dest="d_range",
-                   type=_parse_range, metavar="LO..HI")
-    p.add_argument("--t", required=True, type=_parse_t_list, metavar="T1,T2,...")
-    p.add_argument("--format", choices=["human", "json", "csv"],
-                   default="human")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("kva", help="k-very-ampleness bound on a surface")
-    p.add_argument("--surface", required=True, choices=_SURFACES)
-    p.add_argument("--a", required=True, type=int, help="multiple of H")
-    p.add_argument("--e", required=True, type=int, help="H^2 = 2e")
-    p.add_argument("--n", type=int, default=None,
-                   help="also report the induced bundle status at this n")
-    p.add_argument("--format", choices=["human", "json"], default="human")
-    p.set_defaults(func=_cmd_kva)
-
-    p = sub.add_parser("witness", help="polarization class for one query")
-    add_options(p, _ONE_QUERY_OPTIONS)
-    p.set_defaults(func=_cmd_witness)
-    return parser, sub.choices
+    for name, (func, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, kwargs in options.items():
+            p.add_argument(option, **kwargs)
+        p.set_defaults(func=func)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -449,22 +457,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         fields = _plain_args(argv)
-        if fields is not None:
-            args = SimpleNamespace(**fields)
-        else:
-            parser, commands = _parsers()
-            command = commands.get(argv[0]) if argv else None
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                # What parser.parse_args(argv) does when argv starts with a
-                # command: the top-level parser hands every argument after
-                # it to the command's parser and refuses what that leaves
-                # over.  Called directly, the top-level scan is skipped.
-                args, extra = command.parse_known_args(argv[1:])
-                if extra:
-                    parser.error("unrecognized arguments: %s"
-                                 % " ".join(extra))
+        args = (_parser().parse_args(argv) if fields is None
+                else SimpleNamespace(**fields))
         return args.func(args)
     except SystemExit as exc:
         # argparse exits on usage errors (code 1 via _Parser) and on --help

@@ -1,0 +1,66 @@
+"""The verdicts of tools/bench_pairs.summarize on hand-made runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _runs(parent, change):
+    # one run per pair, as run_once records it, with one metric "m"
+    return [{"first": "parent",
+             "parent": {"metrics": {"m": {"value": p}}},
+             "change": {"metrics": {"m": {"value": c}}}}
+            for p, c in zip(parent, change)]
+
+
+def _summary(parent, change, better, bound=0.25):
+    spec = {"name": "m", "unit": "u", "better": better, "bound": bound}
+    return bench_pairs.summarize(_runs(parent, change), [spec])["m"]
+
+
+# parent runs 10..19: median 14.5, quartiles 12.25 and 16.75, IQR 4.5
+PARENT = [10 + i for i in range(10)]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_ties_count_for_neither_side(better):
+    s = _summary(PARENT, PARENT, better)
+    assert (s["wins"], s["pairs"], s["gain"]) == (0, 10, False)
+    assert s["within_bound"]
+    assert s["parent"] == s["change"] == {"q1": 12.25, "median": 14.5,
+                                          "q3": 16.75}
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+@pytest.mark.parametrize("step, ties, wins, gain", [
+    (5, 1, 9, True),    # 9/10 wins, median gap 5 > IQR 4.5
+    (5, 2, 8, False),   # the same gap, but 8/10 wins
+    (4.5, 1, 9, False),  # 9/10 wins, but the gap 4.5 is not over the IQR
+])
+def test_gain_needs_nine_tenths_of_wins_and_a_gap_over_the_iqr(
+        better, sign, step, ties, wins, gain):
+    # the first `ties` pairs tie; every other pair the change wins by `step`
+    parent = [sign * p for p in PARENT]
+    change = parent[:ties] + [p + sign * step for p in parent[ties:]]
+    s = _summary(parent, change, better)
+    assert (s["wins"], s["gain"]) == (wins, gain)
+
+
+@pytest.mark.parametrize("better, at_bound, past_bound", [
+    ("higher", 75.0, 74.5),
+    ("lower", 125.0, 125.5),
+])
+def test_within_bound_holds_at_exactly_the_bound(better, at_bound,
+                                                 past_bound):
+    # parent median 100 and bound 0.25: 25 worse is within, more is not
+    parent = [100.0] * 4
+    s = _summary(parent, [at_bound] * 4, better)
+    assert (s["wins"], s["gain"], s["within_bound"]) == (0, False, True)
+    s = _summary(parent, [past_bound] * 4, better)
+    assert (s["wins"], s["gain"], s["within_bound"]) == (0, False, False)

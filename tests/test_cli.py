@@ -315,25 +315,26 @@ def test_witness_json_with_oracle(capsys):
 
 CHECK = ["check", "--family", "kum", "--n", "11", "--d", "36", "--t", "24",
          "--format", "json"]
+TABLE = ["table", "--family", "k3n", "--n", "2", "--d-range", "1..3",
+         "--t", "1,2", "--format", "csv"]
+KVA = ["kva", "--surface", "k3", "--a", "1", "--e", "4"]
 
 
 def test_parser_is_built_once(capsys):
-    # a plain check or witness is read without the parsers; any other argv
-    # builds them on first use, and later calls reuse them
-    cli._parsers.cache_clear()
-    for argv in (CHECK,
+    # a plain argv of any command is read without the parser; any other
+    # argv builds it on first use, and later calls reuse it
+    cli._parser.cache_clear()
+    for argv in (CHECK, TABLE, KVA,
                  ["witness", "--family", "k3n", "--n", "2", "--d", "3",
                   "--t", "2", "--oracle"]):
         assert run(capsys, *argv)[0] == 0
-    assert cli._parsers.cache_info().misses == 0
-    for argv, code in ((["table", "--family", "k3n", "--n", "2", "--d-range",
-                         "1..3", "--t", "1,2", "--format", "csv"], 0),
-                       (["kva", "--surface", "k3", "--a", "1", "--e", "4"], 0),
-                       (["check", "--family", "k3n", "--n", "2"], 1),
-                       (CHECK, 0)):
+    assert cli._parser.cache_info().misses == 0
+    for argv, code in ((["check", "--family", "k3n", "--n", "2"], 1),
+                       (CHECK, 0), (TABLE, 0),
+                       (["kva", "--surface", "k3", "--a", "1", "--e=4"], 0)):
         assert run(capsys, *argv)[0] == code, argv
-    info = cli._parsers.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_reused_parser_keeps_no_state(capsys):
@@ -346,10 +347,9 @@ def test_reused_parser_keeps_no_state(capsys):
     assert first[0] == 0 and first[2] == ""
 
 
-# main as it was before it dispatched on the command name: the whole argv
-# goes through the top-level parser.
+# main without the plain reader: the whole argv goes through the parser.
 def _reference_main(argv):
-    parser = cli._parsers()[0]
+    parser = cli._parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -365,7 +365,8 @@ def _reference_main(argv):
 
 QUERY = ["--family", "k3n", "--n", "10", "--d", "27", "--t", "3"]
 
-# check and witness argv that are not in plain form: argparse reads them
+# argv that are not in plain form, or hold a value a type or choice refuses:
+# argparse reads them
 NOT_PLAIN = [
     ["check", "--family", "k3n", "--n", "10", "--d=27", "--t", "3"],
     ["check", "--family", "k3n", "--n", "-3", "--d", "27", "--t", "3"],
@@ -378,6 +379,18 @@ NOT_PLAIN = [
     ["check", *QUERY, "--format"],
     ["check", "--family", "k3n", "--n", "", "--d", "27", "--t", "3"],
     ["witness", *QUERY, "--help"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range", "5..1", "--t", "1"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range", "abc", "--t", "1"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range", "1..4", "--t", "0,2"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range", "1..4", "--t", ","],
+    ["table", "--family", "k3n", "--n", "2", "--d", "1..4", "--t", "1"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range=1..4", "--t", "1"],
+    ["table", "--family", "k3n", "--n", "2", "--d-range", "1..4", "--t", "1",
+     "--t", "2"],
+    ["kva", "--surface", "x", "--a", "1", "--e", "4"],
+    ["kva", "--surface", "k3", "--a", "1", "--e", "4", "--n", "1.5"],
+    ["kva", "--surface", "k3", "--a", "1", "--e", "4", "--format", "csv"],
+    ["kva", "--surface", "k3", "--a", "1", "--n", "3"],
 ]
 
 
@@ -400,7 +413,7 @@ NOT_PLAIN = [
      " -7"],
     *NOT_PLAIN,
 ], ids=repr)
-def test_direct_dispatch_matches_the_full_parser(capsys, argv):
+def test_main_matches_the_full_parser(capsys, argv):
     expected = (_reference_main(list(argv)),) + capsys.readouterr()
     assert run(capsys, *argv) == expected
 
@@ -411,34 +424,52 @@ def test_plain_reader_leaves_other_argv_to_argparse(argv):
 
 
 @st.composite
-def int_texts(draw):
-    # what int() and so argparse's type=int accept, in several spellings
-    k = draw(st.integers(0, 10 ** 40))
+def int_texts(draw, min_value=0):
+    # what int() and so argparse's type=int accept, in several spellings;
+    # negative ones only when min_value is 0
+    k = draw(st.integers(min_value, 10 ** 40))
     digits = "{:_}".format(k) if draw(st.booleans()) else str(k)
-    return (draw(st.sampled_from(["", "+", " ", " -", " +0"])) + digits
+    signs = ["", "+", " ", " +0"] + ([" -"] if min_value == 0 else [])
+    return (draw(st.sampled_from(signs)) + digits
             + draw(st.sampled_from(["", " ", "\t"])))
 
 
 @st.composite
-def plain_one_query_argvs(draw):
-    options = [["--family", draw(st.sampled_from(["k3n", "kum"]))],
-               ["--n", draw(int_texts())], ["--d", draw(int_texts())],
-               ["--t", draw(int_texts())]]
+def plain_argvs(draw):
+    # a plain argv of one of the four commands, its options in any order
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    formats = ["human", "json"]
+    if command == "kva":
+        options = [["--surface", draw(st.sampled_from(cli._SURFACES))],
+                   ["--a", draw(int_texts())], ["--e", draw(int_texts())]]
+        if draw(st.booleans()):
+            options.append(["--n", draw(int_texts())])
+    else:
+        options = [["--family", draw(st.sampled_from(["k3n", "kum"]))],
+                   ["--n", draw(int_texts())]]
+    if command == "table":
+        lo = draw(st.integers(1, 10 ** 6))
+        hi = lo + draw(st.integers(0, 10 ** 6))
+        ts = draw(st.lists(int_texts(min_value=1), min_size=1, max_size=4))
+        options += [["--d-range", "%s..%s" % (lo, hi)],
+                    ["--t", ",".join(ts) + draw(st.sampled_from(["", ","]))]]
+        formats.append("csv")
+    elif command != "kva":
+        options += [["--d", draw(int_texts())], ["--t", draw(int_texts())]]
+        if draw(st.booleans()):
+            options.append(["--oracle"])
     if draw(st.booleans()):
-        options.append(["--format", draw(st.sampled_from(["human", "json"]))])
-    if draw(st.booleans()):
-        options.append(["--oracle"])
+        options.append(["--format", draw(st.sampled_from(formats))])
     words = [w for option in draw(st.permutations(options)) for w in option]
-    return [draw(st.sampled_from(["check", "witness"])), *words]
+    return [command, *words]
 
 
 @settings(max_examples=400, deadline=None)
-@given(plain_one_query_argvs())
-def test_plain_reader_matches_the_command_parser(argv):
-    command = cli._parsers()[1][argv[0]]
-    args, extra = command.parse_known_args(argv[1:])
-    assert extra == []
-    assert cli._plain_args(argv) == vars(args)
+@given(plain_argvs())
+def test_plain_reader_matches_the_parser(argv):
+    expected = vars(cli._parser().parse_args(argv))
+    assert expected.pop("command") == argv[0]
+    assert cli._plain_args(argv) == expected
 
 
 def test_check_validates_the_query_once(capsys, monkeypatch):

@@ -373,8 +373,11 @@ def test_only_a_with_gcd_2m_equal_to_t_are_tested(monkeypatch):
 
 
 def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(capsys):
-    # Without the gcd(a, 2m) = t step, this search tests all 4t + 1 values
-    # of b (gcd(m, t^2) = 1 here).  With it, no test at all.
+    # The end-to-end `check --oracle` answer, and its time budget, where t
+    # does not divide 2m (m = 2, t = 3161): the space is empty and the oracle
+    # agrees.  It does not pin the gcd(a, 2m) = t skip, since without it the
+    # |b| <= 2t search still ends in a few ms;
+    # test_only_a_with_gcd_2m_equal_to_t_are_tested does.
     from hkmoduli import cli
 
     start = time.perf_counter()

@@ -48,6 +48,17 @@ def test_plain_check_loads_no_argparse_oracle_or_bundles():
                               "hkmoduli.bundles") if name in loaded] == []
 
 
+def test_plain_table_and_kva_load_no_argparse():
+    loaded = _modules_loaded_by(
+        "from hkmoduli import cli\n"
+        "assert cli.main(['table', '--family', 'kum', '--n', '3', '--d-range',"
+        " '1..5', '--t', '1,2,', '--format', 'csv']) == 0\n"
+        "assert cli.main(['kva', '--surface', 'k3', '--a', '1', '--e', '4',"
+        " '--n', '3']) == 0")
+    assert "hkmoduli.bundles" in loaded
+    assert [name for name in ("argparse", "gettext") if name in loaded] == []
+
+
 def test_report_loads_no_fractions_logging_or_dataclasses():
     loaded = _modules_loaded_by(
         "from hkmoduli.moduli import ModuliQuery, report\n"
