@@ -62,7 +62,7 @@ _PROG = "hkmoduli"
 # The estimate counts the pairs (a, b) of the default bounds, 4*t + 1: the
 # cap is reached at t = 62501.  Every pair of the window can be a hit that is
 # checked through the lattice (t prime, t^2 | m, t^2 | d: all b prime to t),
-# so the cap is set from that cell; t = 62497 takes about 0.5 s (README).
+# so the cap is set from that cell; t = 62497 takes about 0.3 s (README).
 ORACLE_MAX_CANDIDATES = 250_001
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"

@@ -17,12 +17,14 @@ m = n-1 resp. n+1:
     v^2 = 2*a^2*e - 2*b^2*m
     div(v) = gcd(a, 2*b*m)
 
-`_square(a, b, e, m)` and `_divisibility(a, b, m)` evaluate those closed
-forms on plain ints, unchecked: `moduli` re-verifies every witness it builds
-through them.  `bbf_square` and `divisibility` check a `LatticeClass` and
-evaluate the same closed forms on its fields.  The Gram-matrix path
-(`rank3_model` / `full_model` + `gram_divisibility`) recomputes the same
-quantities from an explicit bilinear form, with no shared code, as an oracle.
+`_is_class(a, b, e, m, d, t)` is the one check, on plain ints and
+unvalidated, that (a, b, e) is such a class with square 2d and divisibility
+t: `moduli` re-verifies every witness it builds through it, and `oracle`
+checks every hit and every witness it is given through it.  `bbf_square`
+and `divisibility` check a `LatticeClass` and evaluate the same closed
+forms on its fields.  The Gram-matrix path (`rank3_model` / `full_model` +
+`gram_divisibility`) recomputes the same quantities from an explicit
+bilinear form, with no shared code, as an oracle.
 A `GramLattice` keeps the nonzero entries of each row, found once when it
 is built, and `gram_divisibility` pairs through those alone.
 
@@ -122,15 +124,17 @@ def divisibility(c: LatticeClass) -> int:
     2
     """
     _check(c)
-    # _divisibility's closed form, written out, not called: the benchmark's
-    # gram workload calls this next to the Gram path, and there the nested
-    # call measured ~1% of its throughput
+    # the closed form, written out here and in _is_class, not called: the
+    # benchmark's gram workload calls this next to the Gram path, and there
+    # a nested call measured ~1% of its throughput
     return gcd(c.a, 2 * c.b * c.family.m(c.n))
 
 
-def _divisibility(a: int, b: int, m: int) -> int:
-    # the closed form of divisibility, delta^2 = -2m
-    return gcd(a, 2 * b * m)
+def _is_class(a: int, b: int, e: int, m: int, d: int, t: int) -> bool:
+    # a*(f + e*g) + b*delta, delta^2 = -2m, is a polarization class of square
+    # 2d and divisibility t: e >= 1, primitive, and both closed forms
+    return (e >= 1 and gcd(a, b) == 1 and _square(a, b, e, m) == 2 * d
+            and gcd(a, 2 * b * m) == t)
 
 
 def is_primitive(a: int, b: int) -> bool:

@@ -89,7 +89,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
-from .lattice import Family, _divisibility, _square, is_primitive
+from .lattice import Family, _is_class
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -357,8 +357,9 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
     """An explicit polarization class for a non-empty space, None otherwise.
 
     Returns (a, b, e) = (t, b, (d + b^2*m) / t^2) with the smallest valid b.
-    The square, divisibility and primitivity of the result are re-verified
-    through the lattice module, not assumed from the construction.
+    That it is primitive with e >= 1, square 2d and divisibility t is
+    re-verified through the lattice module's class check, not assumed from
+    the construction.
     """
     _validate(q)
     m = q.family.m(q.n)
@@ -368,12 +369,11 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 
 def _witness(family: Family, n: int, m: int, d: int, t: int,
              b: int) -> Witness:
-    # the class (t, b, e) for the residue b, re-verified through the closed
-    # forms of `lattice`; tuple.__new__ as in `_decompose`
+    # the class (t, b, e) for the residue b, re-verified through the class
+    # check of `lattice`; tuple.__new__ as in `_decompose`
     e = (d + b * b * m) // (t * t)
     w = tuple.__new__(Witness, (t, b, e))
-    if (e < 1 or _square(t, b, e, m) != 2 * d or _divisibility(t, b, m) != t
-            or not is_primitive(t, b)):
+    if not _is_class(t, b, e, m, d, t):
         raise InternalInconsistency(
             "constructed witness %r fails verification at %r"
             % (w, ModuliQuery(family, n, d, t)))

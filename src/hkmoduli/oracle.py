@@ -1,10 +1,11 @@
 """Brute-force lattice search, used to cross-verify the closed formulas.
 
 The oracle knows nothing about congruence criteria or counting cases.  It
-scans primitive classes v = a*(f + e*g) + b*delta inside finite bounds and
-keeps those with bbf_square(v) = 2d and divisibility(v) = t, checking both
-through the lattice module's definitions.  Since v and -v generate the same
-polarization data, a is restricted to a >= 1 while b runs over both signs.
+scans classes v = a*(f + e*g) + b*delta inside finite bounds and keeps
+those that the lattice module's class check accepts: primitive, e >= 1,
+square 2d and divisibility t, from the closed forms.  Since v and -v
+generate the same polarization data, a is restricted to a >= 1 while b
+runs over both signs.
 
 Only multiples of t are tried for a: (v, g) = a, because f.g = 1, g^2 = 0
 and delta is orthogonal to U, and div(v) divides every pairing of v, so
@@ -52,7 +53,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .bundles import (BundleSpec, BundleStatus, SurfaceKind,
                       induced_bundle_status)
-from .lattice import Family, LatticeClass, bbf_square, divisibility
+from .lattice import Family, _is_class
 from .moduli import ModuliQuery, Witness
 
 __all__ = [
@@ -106,12 +107,7 @@ def enumerate_witnesses(
             # e is forced by requiring the square to be 2d:
             # 2*a^2*e - 2*b^2*m = 2d  <=>  e = (d + b^2*m) / a^2.
             e = (d + b * b * m) // asq
-            if e < 1 or e > max_e:
-                continue
-            if gcd(a, b) != 1:
-                continue
-            c = LatticeClass(family, n, a, b, e)
-            if bbf_square(c) != 2 * d or divisibility(c) != t:
+            if e > max_e or not _is_class(a, b, e, m, d, t):
                 continue
             found.append(Witness(a, b, e))
             if stop_after is not None and len(found) >= stop_after:
@@ -148,11 +144,9 @@ def _square_hits(m, d, asq, max_b):
 
 def verify_witness(w: Witness, q: ModuliQuery) -> bool:
     """True iff w really is a polarization class for q: primitive, e >= 1,
-    square 2d, divisibility t, all checked through the lattice module."""
-    if w.e < 1 or gcd(w.a, w.b) != 1:
-        return False
-    c = LatticeClass(q.family, q.n, w.a, w.b, w.e)
-    return bbf_square(c) == 2 * q.d and divisibility(c) == q.t
+    square 2d, divisibility t, all checked by the lattice module's class
+    check.  ValueError for n < 2, whatever w is."""
+    return _is_class(w.a, w.b, w.e, q.family.m(q.n), q.d, q.t)
 
 
 def class_count(q: ModuliQuery, hits: Iterable[Witness]) -> int:

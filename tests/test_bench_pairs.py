@@ -64,3 +64,32 @@ def test_within_bound_holds_at_exactly_the_bound(better, at_bound,
     assert (s["wins"], s["gain"], s["within_bound"]) == (0, False, True)
     s = _summary(parent, [past_bound] * 4, better)
     assert (s["wins"], s["gain"], s["within_bound"]) == (0, False, False)
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+@pytest.mark.parametrize("bound, unresolved", [
+    (0.19, True),   # IQR 20 is wider than 0.19 * 100
+    (0.2, False),   # IQR 20 is not wider than 0.2 * 100
+])
+def test_unresolved_when_the_parent_spread_is_wider_than_the_bound(
+        better, sign, bound, unresolved):
+    # parent median 100, quartiles 90 and 110; the change ties every run
+    parent = [100 + sign * x for x in (-20, -10, 0, 10, 20)]
+    s = _summary(parent, parent, better, bound)
+    assert s["within_bound"]
+    assert s["unresolved"] is unresolved
+
+
+@pytest.mark.parametrize("better, sign", [("higher", 1), ("lower", -1)])
+def test_resolved_when_every_change_run_beats_every_parent_run(better, sign):
+    # IQR 20 against a bound of 0.1 * 100: unresolved unless the change's
+    # worst run beats the parent's best one, 120 (80 when lower is better)
+    parent = [100 + sign * x for x in (-20, -10, 0, 10, 20)]
+    apart = [100 + sign * x for x in (21, 22, 23, 24, 25)]
+    s = _summary(parent, apart, better, bound=0.1)
+    assert (s["wins"], s["unresolved"]) == (5, False)
+    # one change run level with the parent's best: no longer apart, though
+    # the change still wins every other pair
+    level = apart[:4] + [100 + sign * 20]
+    s = _summary(parent, level, better, bound=0.1)
+    assert (s["wins"], s["unresolved"]) == (4, True)

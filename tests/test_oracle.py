@@ -1,6 +1,7 @@
 import time
 from math import gcd, isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,35 @@ def test_verify_witness_rejects_bad_classes():
     assert not verify_witness(Witness(2, 1, 0), q)   # e out of range
 
 
+@pytest.mark.parametrize("family, n, d, t, w", [
+    (K3, 2, 3, 2, Witness(2, 1, 1)),
+    (K3, 5, 7, 1, Witness(1, 1, 11)),
+    (KUM, 2, 1, 2, Witness(2, 1, 1)),
+    (KUM, 3, 28, 8, Witness(8, 3, 1)),
+])
+def test_verify_witness_edge_inputs(family, n, d, t, w):
+    a, b, e = w
+    q = ModuliQuery(family, n, d, t)
+    assert verify_witness(w, q)
+    assert not verify_witness(Witness(0, 0, 1), q)
+    for bad_e in (0, -1, -e):
+        assert not verify_witness(Witness(a, b, bad_e), q)
+    # 2v has square 4*2d and divisibility 2t but is not primitive
+    assert not verify_witness(Witness(2 * a, 2 * b, e),
+                              ModuliQuery(family, n, 4 * d, 2 * t))
+    for wrong in (ModuliQuery(family, n, d + 1, t),
+                  ModuliQuery(family, n, d, 2 * t),
+                  ModuliQuery(family, n, d, t + 1)):
+        assert not verify_witness(w, wrong)
+    # below n = 2 there is no lattice: every witness is refused as input,
+    # the valid-looking and the invalid alike
+    for bad_n in (1, 0):
+        for v in (w, Witness(0, 0, 1), Witness(a, b, 0),
+                  Witness(2 * a, 2 * b, e)):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                verify_witness(v, ModuliQuery(family, bad_n, d, t))
+
+
 families = st.sampled_from([K3, KUM])
 
 
@@ -306,19 +336,23 @@ def test_window_matches_every_a_reference(family, n, d, t, max_a, max_b,
 
 def test_only_multiples_of_t_reach_the_lattice(monkeypatch):
     seen = []
+    is_class = oracle._is_class
 
-    def recording_square(c):
-        seen.append(c)
-        return bbf_square(c)
+    def recording_is_class(a, b, e, m, d, t):
+        seen.append(a)
+        return is_class(a, b, e, m, d, t)
 
-    monkeypatch.setattr(oracle, "bbf_square", recording_square)
+    monkeypatch.setattr(oracle, "_is_class", recording_is_class)
     checked = 0
+    # at (K3, 2, 8, 2) the a = 3 of the wider bounds solves a^2 | d + b^2*m
+    # (b = 1, e = 1), so a search that tried it would check it
     for q in (ModuliQuery(K3, 4, 3, 6), ModuliQuery(KUM, 3, 28, 8),
-              ModuliQuery(K3, 2, 3, 2), ModuliQuery(KUM, 2, 3, 3)):
+              ModuliQuery(K3, 2, 3, 2), ModuliQuery(KUM, 2, 3, 3),
+              ModuliQuery(K3, 2, 8, 2)):
         for bounds in (None, SearchBounds(3 * q.t + 1, 2 * q.t, 60)):
             seen.clear()
             enumerate_witnesses(q, bounds)
-            assert all(c.a % q.t == 0 for c in seen), (q, bounds, seen[:5])
+            assert all(a % q.t == 0 for a in seen), (q, bounds, seen[:5])
             checked += len(seen)
     assert checked
 

@@ -21,7 +21,10 @@ count for neither side).  `gain` says the working tree won at least nine
 tenths of the pairs and its median beats the parent's by more than the
 spread of the parent's runs (the distance between their quartiles);
 `within_bound` says its median is no worse than the parent's by more than
-the metric's bound.  The output digests of both sides are printed too, so a
+the metric's bound; `unresolved` says that bound cannot be told from the
+noise: the spread of the parent's runs is wider than the bound (times the
+parent's median), and not every run of the working tree beats every run of
+the parent.  The output digests of both sides are printed too, so a
 change of output bytes shows.  `--out` receives every run and the summary as
 JSON.
 """
@@ -79,7 +82,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the pair wins and both verdicts."""
+    """Per metric: each side's quartiles, the pair wins and the verdicts."""
     out = {}
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -90,12 +93,17 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         stats = {side: quartiles(values) for side, values in sides.items()}
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         gain = change - parent if higher else parent - change
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        if higher:
+            separated = min(sides["change"]) > max(sides["parent"])
+        else:
+            separated = max(sides["change"]) < min(sides["parent"])
         out[name] = {
             "unit": spec["unit"], "better": spec["better"], **stats,
             "wins": wins, "pairs": len(runs),
-            "gain": (wins >= 0.9 * len(runs)
-                     and gain > stats["parent"]["q3"] - stats["parent"]["q1"]),
+            "gain": wins >= 0.9 * len(runs) and gain > iqr,
             "within_bound": gain >= -spec["bound"] * parent,
+            "unresolved": iqr > spec["bound"] * parent and not separated,
         }
     return out
 
@@ -144,11 +152,13 @@ def main(argv: list[str] | None = None) -> int:
                       failed["parent"], failed["change"]))
             for name, s in summary.items():
                 print("  %-18s parent %12.6g [%.6g, %.6g]  change %12.6g "
-                      "[%.6g, %.6g]  wins %d/%d  gain %s  within bound %s"
+                      "[%.6g, %.6g]  wins %d/%d  gain %s  within bound %s  "
+                      "unresolved %s"
                       % (name, s["parent"]["median"], s["parent"]["q1"],
                          s["parent"]["q3"], s["change"]["median"],
                          s["change"]["q1"], s["change"]["q3"], s["wins"],
-                         s["pairs"], s["gain"], s["within_bound"]))
+                         s["pairs"], s["gain"], s["within_bound"],
+                         s["unresolved"]))
             sys.stdout.flush()
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
