@@ -68,6 +68,7 @@ _EXPORTS = {
     "SearchBounds": "oracle",
     "bundle_status": "oracle",
     "class_count": "oracle",
+    "cross_check": "oracle",
     "default_bounds": "oracle",
     "enumerate_witnesses": "oracle",
     "verify_witness": "oracle",

@@ -20,24 +20,20 @@ argparse is imported and the parser is built from the same table only for
 --help, usage errors, abbreviations, --opt=value and repeated options, so
 those keep argparse's messages.
 
-Exit codes: 0 success, 1 usage error, 2 internal inconsistency (the closed
-formulas and the brute-force oracle, or two formulas, disagree; this is a
-bug report, not a user error).
+Exit codes: 0 success, 1 usage error or a reader that closed standard
+output early (nothing more is written, not even to stderr), 2 internal
+inconsistency (the closed formulas and the brute-force oracle, or two
+formulas, disagree; this is a bug report, not a user error).
 
-The --oracle flag cross-checks check/witness answers by one brute-force
-lattice search within oracle.default_bounds, which provably contain a
-witness whenever one exists and one hit of every class the component count
-counts (the proof is in the oracle module docstring).  Its hits give the
-verdict, hold the witness, and with check give the count, whose flags are
-also compared with the bundle status.  Those bounds hold 4*t + 1 candidate
-(a, b) pairs, a = t and |b| <= 2t; a search over more than
-ORACLE_MAX_CANDIDATES of them is refused with exit 1 instead of being run.
+The --oracle flag of check and witness is one call, oracle.cross_check: it
+holds the search, its cap and every comparison.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import os
 import sys
 from types import SimpleNamespace
 from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
@@ -48,7 +44,7 @@ from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
 # not run.
 from .lattice import Family
 from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
-                     Witness, _bounds, _notes_text, report, reports, witness)
+                     _bounds, _notes_text, report, reports, witness)
 
 if TYPE_CHECKING:
     import argparse
@@ -58,12 +54,6 @@ __all__ = ["main"]
 # the program name in usage lines and in the "hkmoduli: error: " prefix,
 # which is also written when no parser has been built
 _PROG = "hkmoduli"
-
-# The estimate counts the pairs (a, b) of the default bounds, 4*t + 1: the
-# cap is reached at t = 62501.  Every pair of the window can be a hit that is
-# checked through the lattice (t prime, t^2 | m, t^2 | d: all b prime to t),
-# so the cap is set from that cell; t = 62497 takes about 0.3 s (README).
-ORACLE_MAX_CANDIDATES = 250_001
 
 _CSV_HEADER = ("family,n,d,t,non_empty,components,witness_a,witness_b,"
                "witness_e,bpf_some_component,va_some_component,fujita_power,"
@@ -101,34 +91,6 @@ def _refuse(message: str) -> NoReturn:
     import argparse
 
     raise argparse.ArgumentTypeError(message) from None
-
-
-def _run_oracle(q: ModuliQuery, w: Optional[Witness],
-                rep: Optional[ModuliReport] = None):
-    # One search of the default bounds: it must find a hit exactly when `w`
-    # is one, and `w` among its hits.  With a check's report, the count
-    # must also be the number of classes over those hits, and when w is
-    # (t, 1, e) its two flags the bundle status of that class.  Any other
-    # outcome raises InternalInconsistency.
-    from .oracle import (bundle_status, class_count, default_bounds,
-                         enumerate_witnesses)
-    candidates = 4 * q.t + 1
-    if candidates > ORACLE_MAX_CANDIDATES:
-        raise ValueError(
-            "oracle search over its default bounds, a = %d and |b| <= %d, "
-            "would scan 4*t + 1 = %d candidate pairs (a, b), above the cap "
-            "of %d" % (q.t, 2 * q.t, candidates, ORACLE_MAX_CANDIDATES))
-    bounds = default_bounds(q)
-    hits = enumerate_witnesses(q, bounds)
-    status = bundle_status(q) if rep and w and w[:2] == (q.t, 1) else None
-    if (bool(hits) != (w is not None) or w and w not in hits
-            or rep and rep.components != class_count(q, hits)
-            or status is not None and status != (rep.bpf_some_component,
-                                                 rep.va_some_component)):
-        raise InternalInconsistency(
-            "oracle (search within %r, class count, bundle status) disagrees "
-            "with the formulas at %r" % (bounds, q))
-    return bounds
 
 
 # JSON output is written from these formats, with the bytes of
@@ -231,13 +193,17 @@ def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
             yield empty % d
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> None:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     rep = report(q)
-    bounds = _run_oracle(q, rep.witness, rep) if args.oracle else None
+    oracle = ""
+    if args.oracle:
+        from .oracle import cross_check
+        bounds = cross_check(q, rep.witness, rep)
+        oracle = (_ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty])
+                  if args.format == "json" else
+                  _ORACLE_HUMAN % (_YESNO[rep.non_empty], *bounds))
     if args.format == "json":
-        oracle = ("" if bounds is None else
-                  _ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty]))
         sys.stdout.write(_report_json(rep, oracle) + "\n")
     else:
         (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
@@ -247,13 +213,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "none" if w is None else "a=%d b=%d e=%d" % w, _YESNO[bpf],
             _YESNO[va], _YESNO[every],
             _notes_text(t, d, *_bounds(family, n, t), fujita, halved,
-                        "\nnote: "),
-            "" if bounds is None else
-            _ORACLE_HUMAN % (_YESNO[non_empty], *bounds)))
-    return 0
+                        "\nnote: "), oracle))
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> None:
     family = Family(args.family)
     # `reports` validates n and t when called, so an input error exits 1
     # before the first byte; the reports themselves are made as they print
@@ -281,10 +244,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
                   (r.t, r.d, _YESNO[not r.non_empty], r.components, w,
                    _YESNO[r.bpf_some_component], _YESNO[r.va_some_component],
                    _YESNO[r.applies_to_all_components]))
-    return 0
 
 
-def _cmd_kva(args: argparse.Namespace) -> int:
+def _cmd_kva(args: argparse.Namespace) -> None:
     from .bundles import (BundleSpec, SurfaceKind, induced_bundle_status,
                           max_k_very_ample)
     spec = BundleSpec(SurfaceKind(args.surface), args.a, args.e)
@@ -305,27 +267,25 @@ def _cmd_kva(args: argparse.Namespace) -> int:
             print("induced bundle at n=%d: base point free: %s, "
                   "very ample: %s" % (args.n, _YESNO[status.bpf],
                                       _YESNO[status.very_ample]))
-    return 0
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> None:
     q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
     w = witness(q)
-    bounds = _run_oracle(q, w) if args.oracle else None
+    oracle = ""
+    if args.oracle:
+        from .oracle import cross_check
+        bounds = cross_check(q, w)
+        oracle = (_ORACLE_JSON % (*bounds, _FLAGS[w is not None])
+                  if args.format == "json" else "oracle: agrees\n")
     if args.format == "json":
-        oracle = ("" if bounds is None else
-                  _ORACLE_JSON % (*bounds, _FLAGS[w is not None]))
         sys.stdout.write(_WITNESS_JSON % (
             q.family.value, q.n, q.d, q.t, _FLAGS[w is not None],
             "null" if w is None else _TRIPLE_JSON % w, oracle))
     else:
-        if w is None:
-            print("witness: none (moduli space is empty)")
-        else:
-            print("witness: a=%d b=%d e=%d" % w)
-        if bounds is not None:
-            print("oracle: agrees")
-    return 0
+        print("witness: none (moduli space is empty)" if w is None
+              else "witness: a=%d b=%d e=%d" % w)
+        sys.stdout.write(oracle)
 
 
 # The options of check and witness, each with the keyword arguments of its
@@ -396,11 +356,9 @@ def _plain_args(argv: Sequence[str]) -> Optional[dict]:
     words = iter(argv[1:])
     for word in words:
         spec = options.get(word)
-        if spec is None:
+        if spec is None or spec["dest"] in fields:  # unknown or repeated
             return None
         name = spec["dest"]
-        if name in fields:
-            return None
         if "action" in spec:  # --oracle, a store_true flag
             fields[name] = True
             continue
@@ -459,7 +417,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         fields = _plain_args(argv)
         args = (_parser().parse_args(argv) if fields is None
                 else SimpleNamespace(**fields))
-        return args.func(args)
+        args.func(args)
+        # flushed here, so that a reader that closed the pipe is met inside
+        # this try
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        # the reader of stdout is gone (`... | head`): stdout now points at
+        # os.devnull, so the interpreter's final flush writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SystemExit as exc:
         # argparse exits on usage errors (code 1 via _Parser) and on --help
         # (code 0); fold both into the return-code contract.

@@ -44,6 +44,11 @@ default search finds too.
 bounds of `bundles`, not the threshold formulas of `moduli`.  On the slice
 t >= 2, t^2 | d + m it gives the status of the bundle that the class
 t*L_n + delta induces.
+
+`cross_check` is the whole of `--oracle`: one search within the default
+bounds, refused above ORACLE_MAX_CANDIDATES pairs (a, b), whose hits must
+agree with a formula's witness and, given a report, with its component
+count and its two flags.
 """
 
 from __future__ import annotations
@@ -54,12 +59,13 @@ from typing import Iterable, NamedTuple, Optional
 from .bundles import (BundleSpec, BundleStatus, SurfaceKind,
                       induced_bundle_status)
 from .lattice import Family, _is_class
-from .moduli import ModuliQuery, Witness
+from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, Witness
 
 __all__ = [
     "SearchBounds",
     "bundle_status",
     "class_count",
+    "cross_check",
     "default_bounds",
     "enumerate_witnesses",
     "verify_witness",
@@ -75,8 +81,7 @@ class SearchBounds(NamedTuple):
 def default_bounds(q: ModuliQuery) -> SearchBounds:
     """Bounds guaranteed to contain a witness whenever one exists at all,
     and one of every class that `class_count` counts (module docstring)."""
-    t = q.t
-    return SearchBounds(max_a=t, max_b=2 * t,
+    return SearchBounds(max_a=q.t, max_b=2 * q.t,
                         max_e=q.d + 4 * q.family.m(q.n))
 
 
@@ -212,3 +217,44 @@ def bundle_status(q: ModuliQuery) -> Optional[BundleStatus]:
     if t < 2 or r:
         return None
     return induced_bundle_status(BundleSpec(_SURFACES[family], t, e), n)
+
+
+# The cap counts the pairs (a, b) of the default search, (max_a // t) *
+# (2*max_b + 1) = 4*t + 1: it is reached at t = 62501.  Every pair of the
+# window can be a hit that is checked through the lattice (t prime, t^2 | m,
+# t^2 | d: all b prime to t), so the cap is set from that cell; t = 62497
+# takes about 0.3 s (README).
+ORACLE_MAX_CANDIDATES = 250_001
+
+
+def cross_check(q: ModuliQuery, w: Optional[Witness],
+                rep: Optional[ModuliReport] = None) -> SearchBounds:
+    """Check a formula's witness `w` for q, and a report's count and flags
+    when `rep` is given, against one search within `default_bounds(q)`;
+    return those bounds.
+
+    The search must find a hit exactly when `w` is not None, and `w` must
+    be among its hits.  With `rep`, `rep.components` must be `class_count`
+    over the hits and, when there is a witness and `bundle_status(q)` is not
+    None, the two `*_some_component` flags must be that status: on that
+    slice a non-empty space has b = 1 as its smallest residue, so its
+    witness is (t, 1, e), the class t*L_n + delta.  Raises ValueError,
+    before any search, when the bounds hold more than ORACLE_MAX_CANDIDATES
+    pairs (a, b), and InternalInconsistency on any disagreement.
+    """
+    bounds = default_bounds(q)
+    pairs = bounds.max_a // q.t * (2 * bounds.max_b + 1)
+    if pairs > ORACLE_MAX_CANDIDATES:
+        raise ValueError(
+            "oracle search over its default bounds, a = %d and |b| <= %d, "
+            "would scan 4*t + 1 = %d candidate pairs (a, b), above the cap "
+            "of %d" % (*bounds[:2], pairs, ORACLE_MAX_CANDIDATES))
+    hits = enumerate_witnesses(q, bounds)
+    if ((w not in hits) if w else hits) or rep and (
+            rep.components != class_count(q, hits)
+            or w and bundle_status(q) not in (
+                None, (rep.bpf_some_component, rep.va_some_component))):
+        raise InternalInconsistency(
+            "oracle (search within %r, class count, bundle status) disagrees "
+            "with the formulas at %r" % (bounds, q))
+    return bounds

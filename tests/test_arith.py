@@ -128,6 +128,8 @@ def test_qr_pinned_examples():
     # everything is a residue mod 1
     assert is_quadratic_residue(123, 1) is True
     assert is_quadratic_residue(-1, 5) is True
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        is_quadratic_residue(3, 0)
     assert is_quadratic_residue(-1, 7) is False
 
 

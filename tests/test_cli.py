@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkmoduli import cli, moduli
+from hkmoduli import cli, moduli, oracle
 from hkmoduli.lattice import Family
 from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
                              ModuliReport, Witness, reports, thresholds)
@@ -264,6 +264,12 @@ def test_kva_with_n(capsys):
     assert obj["max_k_very_ample"] == -1
     assert obj["induced_bpf"] is False
     assert obj["induced_very_ample"] is False
+    code, out, _ = run(capsys, "kva", "--surface", "k3", "--a", "2",
+                       "--e", "3", "--n", "4")
+    assert (code, out) == (0, "surface=k3 a=2 e=3\n"
+                              "max k with L k-very ample: 4\n"
+                              "induced bundle at n=4: base point free: yes, "
+                              "very ample: yes\n")
 
 
 def test_surface_choices_match_surface_kind():
@@ -352,7 +358,8 @@ def _reference_main(argv):
     parser = cli._parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except InternalInconsistency as exc:
@@ -664,6 +671,21 @@ def test_oracle_checks_the_witness_is_a_hit(capsys, monkeypatch):
     assert err.startswith("internal inconsistency: ")
 
 
+def test_oracle_checks_an_empty_answer_has_no_hit(capsys, monkeypatch):
+    # (k3n, 2, 3, 2) is non-empty: formulas that answered "no witness" there
+    # are caught by the search's hits alone (the count is left at its value)
+    argv = ["--family", "k3n", "--n", "2", "--d", "3", "--t", "2", "--oracle"]
+    monkeypatch.setattr(cli, "witness", lambda q: None)
+    code, out, err = run(capsys, "witness", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+    rep = moduli.report(ModuliQuery(Family.K3HILB, 2, 3, 2))
+    monkeypatch.setattr(cli, "report", lambda q: rep._replace(witness=None))
+    code, out, err = run(capsys, "check", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal inconsistency: ")
+
+
 def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
     # A count one too high on a non-empty cell keeps the sign guard of
     # `report` quiet; only the oracle's class count sees it.
@@ -774,6 +796,12 @@ def test_usage_errors_exit_1(capsys):
                "--d-range", "abc", "--t", "1")[0] == 1
     assert run(capsys, "table", "--family", "k3n", "--n", "2",
                "--d-range", "1..4", "--t", "0,2")[0] == 1
+    code, out, err = run(capsys, "table", "--family", "k3n", "--n", "2",
+                         "--d-range", "1..4", "--t", "1,x")
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        "hkmoduli table: error: argument --t: need a comma separated list "
+        "of t >= 1, got '1,x'\n")
     assert run(capsys, "nosuchcommand")[0] == 1
     assert run(capsys)[0] == 1
 
@@ -826,14 +854,23 @@ def test_oracle_refuses_large_t(capsys, monkeypatch):
                 "hkmoduli: error: oracle search over its default bounds, "
                 "a = %s and |b| <= %d, would scan 4*t + 1 = %s candidate "
                 "pairs (a, b), above the cap of %d\n"
-                % (t, 2 * int(t), estimate, cli.ORACLE_MAX_CANDIDATES))
+                % (t, 2 * int(t), estimate, oracle.ORACLE_MAX_CANDIDATES))
+    # the cap is read from the oracle module when a search is asked for:
+    # lowered to 4*7, it refuses t = 7, whose search holds 29 pairs
+    monkeypatch.setattr(oracle, "ORACLE_MAX_CANDIDATES", 28)
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, command, "--family", "k3n", "--n", "8",
+                             "--d", "1", "--t", "7", "--oracle")
+        assert (code, out) == (1, "")
+        assert err.endswith("would scan 4*t + 1 = 29 candidate pairs (a, b), "
+                            "above the cap of 28\n")
 
 
 def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):
-    # The refusal sizes the search from t alone as 4t + 1, the pairs
-    # (max_a // t) * (2*max_b + 1) of the default bounds; at t = 62500, the
-    # largest t under the cap, each query runs exactly one search, within
-    # exactly those bounds.
+    # The refusal sizes the search as the pairs (max_a // t) * (2*max_b + 1)
+    # of the default bounds, 4t + 1 at every t; at t = 62500, the largest t
+    # under the cap, each query runs exactly one search, within exactly
+    # those bounds.
     from hkmoduli.oracle import default_bounds
 
     for family in Family:
@@ -841,7 +878,7 @@ def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):
             for t in (1, 2, 7, 62500, 62501):
                 b = default_bounds(ModuliQuery(family, n, 1, t))
                 assert (b.max_a // t) * (2 * b.max_b + 1) == 4 * t + 1
-    assert 4 * 62500 + 1 <= cli.ORACLE_MAX_CANDIDATES < 4 * 62501 + 1
+    assert 4 * 62500 + 1 <= oracle.ORACLE_MAX_CANDIDATES < 4 * 62501 + 1
     searched = []
 
     def search(*args, **kwargs):
@@ -870,20 +907,45 @@ def test_internal_inconsistency_exits_2(capsys, monkeypatch):
     assert "internal inconsistency" in err
 
 
+def _entry_env():
+    # the environment of a `python -m hkmoduli` child: this checkout's
+    # package first on its path, whether or not the package is installed
+    import os
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def _entry_point(*argv):
+    # `python -m hkmoduli` in a fresh process, its stdout a pipe that the
+    # caller reads and that the child buffers, as in a shell pipeline:
+    # PYTHONUNBUFFERED would make every write meet a closed pipe at once
+    import subprocess
+
+    env = _entry_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "hkmoduli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+
+
 def test_module_entry_point():
     import subprocess
 
     proc = subprocess.run(
         [sys.executable, "-m", "hkmoduli", "witness", "--family", "k3n",
          "--n", "2", "--d", "3", "--t", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_entry_env())
     assert proc.returncode == 0
     assert proc.stdout == "witness: a=2 b=1 e=1\n"
     # a fresh process, so --oracle imports the oracle module itself
     proc = subprocess.run(
         [sys.executable, "-m", "hkmoduli", "check", "--family", "k3n",
          "--n", "2", "--d", "3", "--t", "2", "--format", "json", "--oracle"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_entry_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["oracle"] == {
         "bounds": {"max_a": 2, "max_b": 4, "max_e": 7},
@@ -893,8 +955,32 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hkmoduli", "check", "--family", "k3n",
          "--n", "2", "--d", "3", "--t", "2", "extra"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_entry_env())
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("usage: hkmoduli [-h]")
     assert proc.stderr.endswith(
         "hkmoduli: error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "human"])
+def test_closed_pipe_exits_1_quietly(fmt):
+    # `... | head -2`: the reader leaves after the first line of a table
+    # far larger than the pipe holds, so a later write meets a closed pipe
+    proc = _entry_point("table", "--family", "k3n", "--n", "5", "--d-range",
+                        "1..200000", "--t", "1,2,4,8", "--format", fmt)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_pipe_closed_before_the_first_write_exits_1_quietly():
+    # a short answer is written only when main flushes it, after the reader
+    # has gone: that flush, not the interpreter's last one, meets the pipe
+    proc = _entry_point("check", "--family", "k3n", "--n", "2", "--d", "3",
+                        "--t", "2")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -111,6 +111,13 @@ def test_submodules_resolve_as_attributes():
     for name in ("arith", "lattice", "bundles", "moduli", "oracle"):
         assert getattr(hkmoduli, name) is sys.modules["hkmoduli." + name]
     assert set(hkmoduli.__all__) <= set(dir(hkmoduli))
+    # here every submodule is already bound on the package; in a fresh
+    # interpreter none is, so the name goes through the package __getattr__
+    loaded = _modules_loaded_by(
+        "import hkmoduli\n"
+        "assert 'oracle' not in vars(hkmoduli)\n"
+        "assert hkmoduli.oracle is sys.modules['hkmoduli.oracle']")
+    assert "hkmoduli.oracle" in loaded
 
 
 def test_unknown_attribute_raises_attribute_error():
