@@ -37,7 +37,7 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     / 2 divisions, p the largest prime factor of m and q the next one, so
     sqrt(p) / 2 for a prime m.  The moduli are not all small: _decompose
     factorizes w and t1, and prime_power_connected factorizes t, which are
-    as large as a query asks; ROADMAP item 3 records 145 s for
+    as large as a query asks; the ROADMAP records 145 s for
     factorize(2^61 - 1).  Memoized: the same few moduli recur across a
     sweep.
 

@@ -36,15 +36,15 @@ import itertools
 import os
 import sys
 from types import SimpleNamespace
-from typing import (TYPE_CHECKING, Iterable, Iterator, NoReturn, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 
 # argparse, the bundles module and the oracle are imported in the
 # branches that use them, so a one-shot call does not pay for what it does
 # not run.
 from .lattice import Family
 from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
-                     _bounds, _notes_text, report, reports, witness)
+                     _bounds, _cells, _notes_text, _validate, report, reports,
+                     witness)
 
 if TYPE_CHECKING:
     import argparse
@@ -174,23 +174,22 @@ def _report_json(rep: ModuliReport, oracle: str = "") -> str:
                                            fujita, halved, _NOTE_SEP), oracle)
 
 
-def _csv_lines(sweep: Iterable[ModuliReport]) -> Iterator[str]:
-    # The rows of one t's sweep, in the columns of _CSV_HEADER; %d writes a
-    # bool as 0/1.  family, n, t and the Fujita power are the same in every
-    # row, so both templates are made once, from the first report: an empty
-    # cell has no witness, count 0 and every flag False, so its row depends
-    # on d alone.
-    empty = full = None
-    for (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
-         _) in sweep:
-        if full is None:
-            head = "%s,%d,%%d,%d," % (family.value, n, t)
-            empty = head + "0,0,,,,0,0,%d,0\n" % fujita
-            full = head + "1,%%d,%%d,%%d,%%d,%%d,%%d,%d,%%d\n" % fujita
-        if non_empty:
-            yield full % (d, components, *w, bpf, va, every)
-        else:
+def _csv_lines(family: Family, n: int, t: int, ds: range) -> Iterator[str]:
+    # The rows of one t's sweep, in the columns of _CSV_HEADER, each from its
+    # cell of `_cells` and the bounds, flags masked as in a report; %d writes
+    # a bool as 0/1.  family, n, t and the Fujita power are the same in every
+    # row, so both formats are made once: an empty cell has no witness, count
+    # 0 and every flag False, so its row depends on d alone.
+    den, bpf_num, va_num = _bounds(family, n, t)
+    head = "%s,%d,%%d,%d," % (family.value, n, t)
+    empty = head + "0,0,,,,0,0,%d,0\n" % (n + 2)
+    full = head + "1,%%d,%%d,%%d,%%d,%%d,%%d,%d,%%d\n" % (n + 2)
+    for d, w, count, _ in _cells(family, n, t, ds):
+        if w is None:
             yield empty % d
+        else:
+            yield full % (d, count, *w, d * den >= bpf_num,
+                          d * den >= va_num, count == 1)
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
@@ -217,12 +216,12 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
-    family = Family(args.family)
-    # `reports` validates n and t when called, so an input error exits 1
-    # before the first byte; the reports themselves are made as they print
-    sweeps = [reports(family, args.n, t, args.d_range)
-              for t in sorted(set(args.t))]
-    reps = itertools.chain.from_iterable(sweeps)
+    family, n, ds = Family(args.family), args.n, args.d_range
+    ts = sorted(set(args.t))
+    for t in ts:  # so that an input error exits 1 before the first byte
+        _validate(ModuliQuery(family, n, 1, t))
+    reps = itertools.chain.from_iterable(reports(family, n, t, ds)
+                                         for t in ts)
     if args.format == "json":
         # each element is a check's object one level deeper; no value
         # holds a newline, so indenting every line indents the object
@@ -232,10 +231,10 @@ def _cmd_table(args: argparse.Namespace) -> None:
         sys.stdout.write("\n]\n")
     elif args.format == "csv":
         sys.stdout.write(",".join(_CSV_HEADER) + "\n")
-        for sweep in sweeps:
-            sys.stdout.writelines(_csv_lines(sweep))
+        for t in ts:
+            sys.stdout.writelines(_csv_lines(family, n, t, ds))
     else:
-        print("family=%s n=%d" % (family.value, args.n))
+        print("family=%s n=%d" % (family.value, n))
         print("%4s %5s %6s %5s %8s %4s %4s %4s" %
               ("t", "d", "empty?", "comps", "witness", "bpf", "va", "all"))
         for r in reps:
@@ -432,12 +431,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (code 0); fold both into the return-code contract.
         return exc.code if isinstance(exc.code, int) else 1
     except InternalInconsistency as exc:
-        print("internal inconsistency: %s" % exc, file=sys.stderr)
-        return 2
+        message, code = "internal inconsistency: %s" % exc, 2
     except ValueError as exc:
         # bad values that argparse cannot see (domain checks, oracle cap)
-        print("%s: error: %s" % (_PROG, exc), file=sys.stderr)
-        return 1
+        message, code = "%s: error: %s" % (_PROG, exc), 1
+    # the reader of stderr may be gone as well: the code still stands, and
+    # the interpreter ignores a failed final flush of stderr
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -476,10 +476,10 @@ def reports(family: Family, n: int, t: int,
 
     n and t are validated here, once, before the first report; each d when
     it is reached.  The parts that depend only on (family, n, t) are
-    computed once: m, whether t divides 2m, and the two threshold bounds.
-    The cells then run the helpers behind `nonempty_residue`, `witness`,
-    `decompose` and `component_count_detail` on these integers, so no cell
-    validates its query again or builds one.
+    computed once per sweep: m, whether t divides 2m, and the two threshold
+    bounds.  The cells then run the helpers behind `nonempty_residue`,
+    `witness`, `decompose` and `component_count_detail` on these integers,
+    so no cell validates its query again or builds one.
 
     A cell where t does not divide both 2m and 2d is empty and is answered
     without a scan: t does not divide gcd(2d, 2m), so `decompose` raises
@@ -488,11 +488,12 @@ def reports(family: Family, n: int, t: int,
     and re-verifies the witness from it as `witness` does (the space is
     non-empty exactly when there is one) and cross-checks the counting
     formula against it, raising InternalInconsistency when they disagree.
-    The per-component guarantees are masked with non-emptiness (no
-    component, no claim) and apply to every component exactly when the
-    count is 1.
+    That guard lives in `_cells`, the one cell loop behind `report`,
+    `reports` and the CSV table.  The per-component guarantees are masked
+    with non-emptiness (no component, no claim) and apply to every
+    component exactly when the count is 1.
 
-    Within one call the residue and the count are each computed once per
+    Within one sweep the residue and the count are each computed once per
     class of d they read; the witness and the cross-check still run on
     every cell.  Once t divides 2m and 2d, the scan for b reads d only
     through its target -d mod t^2.  The count reads d only through
@@ -507,49 +508,62 @@ def reports(family: Family, n: int, t: int,
 
 def _reports(family: Family, n: int, t: int,
              ds: Iterable[int]) -> Iterator[ModuliReport]:
+    den, bpf_num, va_num = _bounds(family, n, t)
+    # tuple.__new__ builds the same ModuliReport as its generated 12-argument
+    # __new__, at about half the cost (`report` builds its one report alike)
+    new = tuple.__new__
+    for d, w, count, halved in _cells(family, n, t, ds):
+        ne = w is not None
+        yield new(ModuliReport, (family, n, d, t, ne, count, w,
+                                 ne and d * den >= bpf_num,
+                                 ne and d * den >= va_num, n + 2, count == 1,
+                                 halved))
+
+
+def _cells(family: Family, n: int, t: int, ds: Iterable[int]
+           ) -> Iterator[tuple[int, Optional[Witness], int, bool]]:
+    # (d, witness or None, count, halved) for each d of ds, as `reports`
+    # describes; n and t are already valid
     m = family.m(n)
     t_divides_2m = (2 * m) % t == 0
-    den, bpf_num, va_num = _bounds(family, n, t)
-    fujita = n + 2
     tsq, two_t = t * t, 2 * t
     # b (None when empty) by -d mod t^2, the count detail by h and d1 mod 2t
     # packed in one int; `reports` says why each key determines its value
     residues, counts = {}, {}
-    # tuple.__new__ builds the same ModuliReport as its generated 12-argument
-    # __new__, at about half the cost (a report is made for every table cell)
-    new = tuple.__new__
     for d in ds:
         if d < 1:
             _validate(ModuliQuery(family, n, d, t))
         if not t_divides_2m or (2 * d) % t:
-            # empty: no witness, count 0 and every flag False
-            yield new(ModuliReport, (family, n, d, t, False, 0, None, False,
-                                     False, fujita, False, False))
+            yield d, None, 0, False
             continue
         target = -d % tsq
         b = residues.get(target, 0)  # b >= 1, so 0 means not yet seen
         if b == 0:
             b = residues[target] = _residue(m, d, t)
         w = None if b is None else _witness(family, n, m, d, t, b)
-        ne = w is not None
         h = gcd(d, m)
         key = h * two_t + d // h % two_t
         detail = counts.get(key)
         if detail is None:
             detail = counts[key] = _count_detail(_decompose(m, d, t), t)
         count, _, halved = detail
-        if (count >= 1) != ne:
+        if (count >= 1) != (w is not None):
             raise InternalInconsistency(
                 "non_empty = %r but component count = %d at %r"
-                % (ne, count, ModuliQuery(family, n, d, t)))
-        yield new(ModuliReport, (family, n, d, t, ne, count, w,
-                                 ne and d * den >= bpf_num,
-                                 ne and d * den >= va_num,
-                                 fujita, count == 1, halved))
+                % (w is not None, count, ModuliQuery(family, n, d, t)))
+        yield d, w, count, halved
 
 
 def report(q: ModuliQuery) -> ModuliReport:
     """Full answer for one query: the one-cell case of `reports`."""
     # checks d before t, so a query with several bad values names the first
     _validate(q)
-    return next(_reports(q.family, q.n, q.t, (q.d,)))
+    family, n, d, t = q
+    # the cell read directly, not through `reports`: one generator, not two
+    d, w, count, halved = next(_cells(family, n, t, (d,)))
+    den, bpf_num, va_num = _bounds(family, n, t)
+    ne = w is not None
+    return tuple.__new__(ModuliReport, (family, n, d, t, ne, count, w,
+                                        ne and d * den >= bpf_num,
+                                        ne and d * den >= va_num, n + 2,
+                                        count == 1, halved))

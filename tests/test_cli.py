@@ -239,6 +239,53 @@ def test_table_input_error_prints_nothing(capsys):
         assert "n must be >= 2" in err, fmt
 
 
+def test_table_csv_internal_inconsistency_exits_2(capsys, monkeypatch):
+    # the count guard runs on the CSV path too: with every count forced to
+    # 0, the first non-empty cell (d = 3) stops the sweep with exit 2
+    monkeypatch.setattr(moduli, "_count_detail",
+                        lambda dec, t: (0, None, False))
+    code, out, err = run(capsys, "table", "--family", "k3n", "--n", "2",
+                         "--d-range", "1..9", "--t", "2", "--format", "csv")
+    assert code == 2
+    assert err.startswith("internal inconsistency: ")
+    assert "n=2, d=3, t=2)" in err
+    assert out.startswith(",".join(cli._CSV_HEADER) + "\n")
+
+
+class _Discard:
+    # a stdout that keeps nothing of what is written to it
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, lines):
+        for _ in lines:
+            pass
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt, d_range", [("csv", "1..25000"),
+                                          ("json", "1..1500")])
+def test_table_streams(monkeypatch, fmt, d_range):
+    # README: CSV and JSON rows are written as they are made, so memory does
+    # not grow with the sweep.  Two t of 25,000 (csv) or 1,500 (json) rows
+    # each peak at a few KB; holding the text of one t's rows takes 0.9 MB
+    # (json) to 3 MB (csv).
+    import tracemalloc
+
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = cli.main(["table", "--family", "k3n", "--n", "5", "--d-range",
+                         d_range, "--t", "1,2", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 ** 19, peak
+
+
 def test_table_human(capsys):
     code, out, _ = run(capsys, "table", "--family", "k3n", "--n", "2",
                        "--d-range", "3..3", "--t", "2")
@@ -984,3 +1031,31 @@ def test_pipe_closed_before_the_first_write_exits_1_quietly():
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--family", "k3n", "--n", "1", "--d", "1", "--t", "1"], 1),
+    (["check", "--family", "k3n", "--n", "2", "--d", "3", "--t", "2"], 2),
+])
+def test_closed_stderr_returns_the_exit_code(argv, code):
+    # The reader of stderr has gone before main writes its message (the read
+    # end of the pipe is closed before the child starts).  main still returns
+    # its code, writing nothing to stdout: the child prints what main
+    # returned.  The second query is made inconsistent by forcing every
+    # count to 0.
+    import os
+    import subprocess
+
+    child = ("import sys\n"
+             "from hkmoduli import cli, moduli\n"
+             "moduli._count_detail = lambda dec, t: (0, None, False)\n"
+             "print(cli.main(sys.argv[1:]))\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", child, *argv],
+                              stdout=subprocess.PIPE, stderr=write,
+                              env=_entry_env(), timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (0, b"%d\n" % code)

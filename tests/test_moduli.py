@@ -673,6 +673,14 @@ def test_sweep_validates_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_reads_a_one_pass_iterator():
+    # reports takes any iterable of d, so each d is read once, as it is met
+    for family, n, t in ((K3, 10, 3), (K3, 16, 15), (KUM, 5, 12)):
+        ds = list(range(1, 300))
+        assert list(reports(family, n, t, iter(ds))) == list(
+            reports(family, n, t, ds)), (family, n, t)
+
+
 def test_sweep_matches_per_cell_reference_where_every_class_recurs():
     # Both keys of the sweep, -d mod t^2 for the residue and (gcd(d, m),
     # d/gcd(d, m) mod 2t) for the count, have period 2mt in d (t | 2m, so
