@@ -12,7 +12,10 @@ and delta is orthogonal to U, and div(v) divides every pairing of v, so
 div(v) = t forces t | a.  Of those, only the a with gcd(a, 2m) = t are
 tried: a primitive class has gcd(a, b) = 1, so div(v) = gcd(a, 2*b*m) =
 gcd(a, 2m) (`lattice.divisibility`), and a cell with t not dividing 2m makes
-no test at all.  For each such a, only one period of b is tested: with
+no test at all.  Nor does a cell with t not dividing 2d: a hit also has
+a^2 | d + b^2*m, so t | d + b^2*m, and t | 2*b^2*m because t | 2m, so
+t | 2d.  Both skips hold for any bounds.  For each a that is tried, only
+one period of b is tested: with
 h = gcd(m, a^2) and P = a^2/h, the condition a^2 | d + b^2*m depends on b
 only through b mod P, since (b + P)^2*m - b^2*m = 2*b*a^2*(m/h) +
 a^2*(a^2/h)*(m/h) is a multiple of a^2.  So the hits past the lowest P
@@ -81,8 +84,13 @@ class SearchBounds(NamedTuple):
 def default_bounds(q: ModuliQuery) -> SearchBounds:
     """Bounds guaranteed to contain a witness whenever one exists at all,
     and one of every class that `class_count` counts (module docstring)."""
-    return SearchBounds(max_a=q.t, max_b=2 * q.t,
-                        max_e=q.d + 4 * q.family.m(q.n))
+    return _default_bounds(q.d, q.t, q.family.m(q.n))
+
+
+def _default_bounds(d: int, t: int, m: int) -> SearchBounds:
+    # tuple.__new__ builds the same SearchBounds as its generated keyword
+    # __new__, at about a third of the cost (the idiom of `moduli`)
+    return tuple.__new__(SearchBounds, (t, 2 * t, d + 4 * m))
 
 
 def enumerate_witnesses(
@@ -92,16 +100,30 @@ def enumerate_witnesses(
 ) -> list[Witness]:
     """All witnesses with 1 <= a <= max_a, |b| <= max_b, 1 <= e <= max_e.
 
-    Returned sorted by (a, b, e).  With stop_after = k the scan stops once
-    k witnesses are found (the result is then a prefix of the full sorted
-    enumeration, which is what existence probes need).
+    Returned sorted by (a, b, e).  With stop_after = k >= 0 the scan stops
+    once k witnesses are found (the result is then the first k of the full
+    sorted enumeration, which is what existence probes need); k = 0 scans
+    nothing.  ValueError for t < 1 or a negative stop_after.
+
+    A cell with t not dividing 2m or t not dividing 2d returns [] with no
+    scan, whatever the bounds: a hit has t | a and gcd(a, 2m) = t, so
+    t | 2m, and a^2 | d + b^2*m, so t | d + b^2*m; with t | 2*b^2*m that
+    gives t | 2d (module docstring).
     """
-    if bounds is None:
-        bounds = default_bounds(q)
     family, n, d, t = q
     m = family.m(n)
+    if bounds is None:
+        bounds = _default_bounds(d, t, m)
     max_a, max_b, max_e = bounds
+    if t < 1:
+        raise ValueError("t must be >= 1, got %r" % (t,))
     found: list[Witness] = []
+    if stop_after is not None and stop_after < 1:
+        if stop_after:
+            raise ValueError("stop_after must be >= 0, got %r" % (stop_after,))
+        return found
+    if 2 * m % t or 2 * d % t:
+        return found
     # t | a and gcd(a, 2m) = t for every hit (see the module docstring).
     # Hits come out sorted by (a, b), and e is a function of (a, b).
     for a in range(t, max_a + 1, t):
@@ -114,7 +136,8 @@ def enumerate_witnesses(
             e = (d + b * b * m) // asq
             if e > max_e or not _is_class(a, b, e, m, d, t):
                 continue
-            found.append(Witness(a, b, e))
+            # tuple.__new__ as in `_default_bounds`
+            found.append(tuple.__new__(Witness, (a, b, e)))
             if stop_after is not None and len(found) >= stop_after:
                 return found
     return found

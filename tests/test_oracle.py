@@ -37,6 +37,20 @@ def test_default_bounds():
     assert default_bounds(q) == SearchBounds(1, 2, 7 + 4 * 6)
 
 
+def test_bounds_and_hits_are_their_named_tuples():
+    # both are built with tuple.__new__, which skips the generated __new__
+    q = ModuliQuery(KUM, 3, 12, 4)
+    bounds = default_bounds(q)
+    assert type(bounds) is SearchBounds
+    assert bounds == SearchBounds(max_a=4, max_b=8, max_e=12 + 4 * 4)
+    assert (bounds.max_a, bounds.max_b, bounds.max_e) == (4, 8, 28)
+    assert bounds._asdict() == {"max_a": 4, "max_b": 8, "max_e": 28}
+    for search in (None, SearchBounds(8, 10, 60)):
+        hits = enumerate_witnesses(q, search)
+        assert hits and all(type(w) is Witness for w in hits), hits
+        assert [(w.a, w.b, w.e) for w in hits] == [tuple(w) for w in hits]
+
+
 def test_no_wider_search_changes_a_verdict():
     # The default bounds are complete (module docstring): a hit (a, b, e) of
     # any search gives the hit (t, b mod 2t, ...) inside them, with the same
@@ -152,6 +166,28 @@ def test_stop_after_is_a_prefix():
     probe = enumerate_witnesses(q, bounds, stop_after=1)
     assert len(probe) == 1
     assert probe[0] in full
+
+
+def test_stop_after_zero_finds_nothing_and_a_negative_one_is_refused():
+    q = ModuliQuery(K3, 3, 2, 2)
+    assert enumerate_witnesses(q, stop_after=1) == [Witness(2, -3, 5)]
+    assert enumerate_witnesses(q, stop_after=0) == []
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="stop_after must be >= 0, "
+                                             "got %d" % bad):
+            enumerate_witnesses(q, stop_after=bad)
+
+
+def test_malformed_queries_and_bounds_are_refused():
+    # before the cell is skipped: t = 3 divides neither 2m = 4 nor 2d = 4
+    q = ModuliQuery(K3, 3, 2, 3)
+    for t in (0, -2):
+        with pytest.raises(ValueError, match="t must be >= 1, got %d" % t):
+            enumerate_witnesses(q._replace(t=t))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        enumerate_witnesses(q._replace(n=1))
+    with pytest.raises(ValueError, match="not enough values"):
+        enumerate_witnesses(q, (3, 6))
 
 
 def test_sign_symmetry_in_b():
@@ -309,7 +345,7 @@ def test_multiples_of_t_match_every_a_reference():
                         # a search stopped after k hits is the first k of
                         # the full one
                         full = _enumerate_every_a(q, bounds)
-                        for stop_after in (None, 1, 2, 3):
+                        for stop_after in (None, 0, 1, 2, 3):
                             got = enumerate_witnesses(q, bounds, stop_after)
                             assert got == full[:stop_after], (
                                 q, bounds, stop_after)
@@ -325,7 +361,7 @@ def test_multiples_of_t_match_every_a_reference():
        st.integers(min_value=0, max_value=20),
        st.integers(min_value=0, max_value=300),
        st.integers(min_value=0, max_value=10 ** 6),
-       st.sampled_from([None, 1, 2, 3]))
+       st.sampled_from([None, 0, 1, 2, 3]))
 def test_window_matches_every_a_reference(family, n, d, t, max_a, max_b,
                                           max_e, stop_after):
     q = ModuliQuery(family, n, d, t)
@@ -404,6 +440,48 @@ def test_only_a_with_gcd_2m_equal_to_t_are_tested(monkeypatch):
     tested.clear()
     assert enumerate_witnesses(ModuliQuery(K3, 2, 1, 3161)) == []
     assert tested == []
+
+
+def test_cells_without_t_dividing_2m_and_2d_make_no_test(monkeypatch):
+    # A hit needs t | 2m and t | 2d (module docstring), so on every other
+    # cell the oracle returns [] before it tests any b or checks any class,
+    # within the default bounds and within wider ones; the every-a reference
+    # finds nothing there either.
+    calls = []
+    square_hits, is_class = oracle._square_hits, oracle._is_class
+
+    def counting_square_hits(*args):
+        calls.append("square")
+        return square_hits(*args)
+
+    def counting_is_class(*args):
+        calls.append("class")
+        return is_class(*args)
+
+    monkeypatch.setattr(oracle, "_square_hits", counting_square_hits)
+    monkeypatch.setattr(oracle, "_is_class", counting_is_class)
+    skipped = searched = 0
+    for family in (K3, KUM):
+        for n in range(2, 13):
+            two_m = 2 * family.m(n)
+            # every t | 2m, the three smallest t that do not divide it, and
+            # 2m + 1
+            others = [t for t in range(2, two_m) if two_m % t][:3]
+            for t in divisors(two_m) + others + [two_m + 1]:
+                for d in range(1, 61):
+                    q = ModuliQuery(family, n, d, t)
+                    for bounds in (None, SearchBounds(2 * t + 1, 2 * t + 1,
+                                                      2 * d + 8 * two_m)):
+                        calls.clear()
+                        hits = enumerate_witnesses(q, bounds)
+                        if two_m % t == 0 and 2 * d % t == 0:
+                            searched += bool(calls)
+                            continue
+                        assert calls == [] and hits == [], (q, bounds)
+                        assert _enumerate_every_a(q, bounds) == [], (q,
+                                                                     bounds)
+                        skipped += 1
+    assert skipped > 10000 and searched > 1000, (skipped, searched)
 
 
 def test_check_with_oracle_where_t_does_not_divide_2m_is_fast(capsys):
