@@ -10,10 +10,11 @@ there are no floats anywhere.
 
 Modules:
     arith    elementary number theory (factorization, phi, quadratic residues)
-    lattice  BBF squares, divisibility, Gram-matrix cross-checks
+    moduli   the families, the class check, non-emptiness, component counts,
+             witnesses, ampleness thresholds
     bundles  k-very-ampleness bounds for line bundles on K3/abelian surfaces
-    moduli   non-emptiness, component counts, witnesses, ampleness thresholds
     oracle   brute-force lattice search used to cross-verify the formulas
+    lattice  BBF squares, divisibility, Gram cross-checks (tests, benchmark)
     cli      command line front end
 
 Every name in `__all__` can be read from the package itself.  The
@@ -34,7 +35,6 @@ _EXPORTS = {
     "qr_of_ratio": "arith",
     "rho": "arith",
     "DimensionMismatch": "lattice",
-    "Family": "lattice",
     "GramLattice": "lattice",
     "LatticeClass": "lattice",
     "bbf_square": "lattice",
@@ -50,6 +50,7 @@ _EXPORTS = {
     "ComponentCountDetail": "moduli",
     "Decomposition": "moduli",
     "DivisibilityViolation": "moduli",
+    "Family": "moduli",
     "InternalInconsistency": "moduli",
     "ModuliQuery": "moduli",
     "ModuliReport": "moduli",

@@ -87,7 +87,7 @@ def mod_inverse(x: int, m: int) -> int:
         raise NotInvertible("%d is not invertible modulo %d" % (x, m)) from None
 
 
-def _qr_odd_prime_power(x: int, p: int, k: int) -> bool:
+def _qr_odd_prime_power(x: int, p: int) -> bool:
     # x reduced mod p^k, p odd prime.  Solvable y^2 = x iff, writing
     # x = p^j * u with p not dividing u, either j >= k (x = 0), or j is even
     # and u is a residue mod p (Euler's criterion lifts by Hensel).
@@ -145,7 +145,7 @@ def is_quadratic_residue(x: int, m: int) -> bool:
         if p == 2:
             if not _qr_two_power(x % (1 << k), k):
                 return False
-        elif not _qr_odd_prime_power(x % p ** k, p, k):
+        elif not _qr_odd_prime_power(x % p ** k, p):
             return False
     return True
 

@@ -41,8 +41,7 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 # argparse, the bundles module and the oracle are imported in the
 # branches that use them, so a one-shot call does not pay for what it does
 # not run.
-from .lattice import Family
-from .moduli import (InternalInconsistency, ModuliQuery, ModuliReport,
+from .moduli import (Family, InternalInconsistency, ModuliQuery, ModuliReport,
                      _bounds, _cells, _notes_text, _validate, report, reports,
                      witness)
 

@@ -17,14 +17,13 @@ m = n-1 resp. n+1:
     v^2 = 2*a^2*e - 2*b^2*m
     div(v) = gcd(a, 2*b*m)
 
-`_is_class(a, b, e, m, d, t)` is the one check, on plain ints and
-unvalidated, that (a, b, e) is such a class with square 2d and divisibility
-t: `moduli` re-verifies every witness it builds through it, and `oracle`
-checks every hit and every witness it is given through it.  `bbf_square`
-and `divisibility` check a `LatticeClass` and evaluate the same closed
-forms on its fields.  The Gram-matrix path (`rank3_model` / `full_model` +
-`gram_divisibility`) recomputes the same quantities from an explicit
-bilinear form, with no shared code, as an oracle.
+`bbf_square` and `divisibility` check a `LatticeClass` and evaluate these
+closed forms on its fields; the class check of the calculator,
+`moduli._is_class`, evaluates them on plain ints.  The Gram-matrix path
+(`rank3_model` / `full_model` + `gram_divisibility`) recomputes the same
+quantities from an explicit bilinear form, with no shared code, as an
+oracle.  Only tests and the benchmark read this module; the calculator and
+`oracle` do not import it.
 A `GramLattice` keeps the nonzero entries of each row, found once when it
 is built, and `gram_divisibility` pairs through those alone.
 
@@ -41,13 +40,13 @@ check the reduction instead of assuming it.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd
 from typing import NamedTuple, Sequence
 
+from .moduli import Family, _square
+
 __all__ = [
     "DimensionMismatch",
-    "Family",
     "GramLattice",
     "LatticeClass",
     "bbf_square",
@@ -64,19 +63,6 @@ __all__ = [
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the rank of the Gram matrix."""
-
-
-class Family(Enum):
-    """The two deformation families, tagged by their CLI names."""
-
-    K3HILB = "k3n"
-    KUMMER = "kum"
-
-    def m(self, n: int) -> int:
-        """The integer m with delta^2 = -2m: n-1 for K3HILB, n+1 for KUMMER."""
-        if n < 2:
-            raise ValueError("n must be >= 2, got %r" % (n,))
-        return n - 1 if self is Family.K3HILB else n + 1
 
 
 class LatticeClass(NamedTuple):
@@ -110,11 +96,6 @@ def bbf_square(c: LatticeClass) -> int:
     return _square(c.a, c.b, c.e, c.family.m(c.n))
 
 
-def _square(a: int, b: int, e: int, m: int) -> int:
-    # the closed form of bbf_square, delta^2 = -2m
-    return 2 * a * a * e - 2 * b * b * m
-
-
 def divisibility(c: LatticeClass) -> int:
     """Positive generator of the pairing ideal: gcd(a, 2*b*m).
 
@@ -124,17 +105,10 @@ def divisibility(c: LatticeClass) -> int:
     2
     """
     _check(c)
-    # the closed form, written out here and in _is_class, not called: the
-    # benchmark's gram workload calls this next to the Gram path, and there
-    # a nested call measured ~1% of its throughput
+    # the closed form, written out here and in moduli._is_class, not called:
+    # the benchmark's gram workload calls this next to the Gram path, and
+    # there a nested call measured ~1% of its throughput
     return gcd(c.a, 2 * c.b * c.family.m(c.n))
-
-
-def _is_class(a: int, b: int, e: int, m: int, d: int, t: int) -> bool:
-    # a*(f + e*g) + b*delta, delta^2 = -2m, is a polarization class of square
-    # 2d and divisibility t: e >= 1, primitive, and both closed forms
-    return (e >= 1 and gcd(a, b) == 1 and _square(a, b, e, m) == 2 * d
-            and gcd(a, 2 * b * m) == t)
 
 
 def is_primitive(a: int, b: int) -> bool:

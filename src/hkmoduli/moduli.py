@@ -6,6 +6,17 @@ A query (family, n, d, t) asks about the moduli space of polarized pairs
 KUMMER), H is primitive ample with BBF square 2d and divisibility t.  Write
 m = n-1 for K3HILB and m = n+1 for KUMMER throughout.
 
+The class check.  A class a*(f + e*g) + b*delta, with f, g a standard basis
+of one hyperbolic plane (f^2 = g^2 = 0, f.g = 1) and delta^2 = -2m, has
+square 2*a^2*e - 2*b^2*m and divisibility gcd(a, 2*b*m) (the closed forms
+of `lattice`).  `_is_class(a, b, e, m, d, t)` is the one check, on plain
+ints and unvalidated, that (a, b, e) is a primitive such class with e >= 1,
+square 2d and divisibility t: every witness built here is re-verified
+through it, and `oracle` checks every hit and every witness it is given
+through it.  Its independent check is the Gram-matrix path of `lattice`,
+which recomputes both quantities from an explicit bilinear form with no
+shared code; the tests compare the two.
+
 Non-emptiness.  The space is non-empty iff t divides 2m and there is an
 integer b, coprime to t, with d = -b^2*m (mod t^2).  When such b exists the
 class a*(f + e*g) + b*delta with a = t and e = (d + b^2*m) / t^2 has square
@@ -85,11 +96,11 @@ they extend to the whole space exactly when the component count is 1.
 
 from __future__ import annotations
 
+from enum import Enum
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import euler_phi, factorize, qr_of_ratio, rho
-from .lattice import Family, _is_class
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -98,6 +109,7 @@ __all__ = [
     "ComponentCountDetail",
     "Decomposition",
     "DivisibilityViolation",
+    "Family",
     "InternalInconsistency",
     "ModuliQuery",
     "ModuliReport",
@@ -114,6 +126,32 @@ __all__ = [
     "thresholds",
     "witness",
 ]
+
+
+class Family(Enum):
+    """The two deformation families, tagged by their CLI names."""
+
+    K3HILB = "k3n"
+    KUMMER = "kum"
+
+    def m(self, n: int) -> int:
+        """The integer m with delta^2 = -2m: n-1 for K3HILB, n+1 for KUMMER."""
+        if n < 2:
+            raise ValueError("n must be >= 2, got %r" % (n,))
+        return n - 1 if self is Family.K3HILB else n + 1
+
+
+def _square(a: int, b: int, e: int, m: int) -> int:
+    # the square of a*(f + e*g) + b*delta, delta^2 = -2m
+    return 2 * a * a * e - 2 * b * b * m
+
+
+def _is_class(a: int, b: int, e: int, m: int, d: int, t: int) -> bool:
+    # a*(f + e*g) + b*delta, delta^2 = -2m, is a polarization class of square
+    # 2d and divisibility t: e >= 1, primitive, and both closed forms
+    return (e >= 1 and gcd(a, b) == 1 and _square(a, b, e, m) == 2 * d
+            and gcd(a, 2 * b * m) == t)
+
 
 class DivisibilityViolation(ValueError):
     """t does not divide gcd(2d, 2m)."""
@@ -358,8 +396,8 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 
     Returns (a, b, e) = (t, b, (d + b^2*m) / t^2) with the smallest valid b.
     That it is primitive with e >= 1, square 2d and divisibility t is
-    re-verified through the lattice module's class check, not assumed from
-    the construction.
+    re-verified through the class check (module docstring), not assumed
+    from the construction.
     """
     _validate(q)
     m = q.family.m(q.n)
@@ -369,8 +407,8 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 
 def _witness(family: Family, n: int, m: int, d: int, t: int,
              b: int) -> Witness:
-    # the class (t, b, e) for the residue b, re-verified through the class
-    # check of `lattice`; tuple.__new__ as in `_decompose`
+    # the class (t, b, e) for the residue b, re-verified through
+    # `_is_class`; tuple.__new__ as in `_decompose`
     e = (d + b * b * m) // (t * t)
     w = tuple.__new__(Witness, (t, b, e))
     if not _is_class(t, b, e, m, d, t):

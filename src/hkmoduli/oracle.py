@@ -2,8 +2,8 @@
 
 The oracle knows nothing about congruence criteria or counting cases.  It
 scans classes v = a*(f + e*g) + b*delta inside finite bounds and keeps
-those that the lattice module's class check accepts: primitive, e >= 1,
-square 2d and divisibility t, from the closed forms.  Since v and -v
+those that the class check of `moduli` accepts: primitive, e >= 1, square
+2d and divisibility t, from the closed forms.  Since v and -v
 generate the same polarization data, a is restricted to a >= 1 while b
 runs over both signs.
 
@@ -14,16 +14,17 @@ tried: a primitive class has gcd(a, b) = 1, so div(v) = gcd(a, 2*b*m) =
 gcd(a, 2m) (`lattice.divisibility`), and a cell with t not dividing 2m makes
 no test at all.  Nor does a cell with t not dividing 2d: a hit also has
 a^2 | d + b^2*m, so t | d + b^2*m, and t | 2*b^2*m because t | 2m, so
-t | 2d.  Both skips hold for any bounds.  For each a that is tried, only
-one period of b is tested: with
+t | 2d.  Both skips hold for any bounds (`_no_hit`).  For each a that is
+tried, only one period of b is tested: with
 h = gcd(m, a^2) and P = a^2/h, the condition a^2 | d + b^2*m depends on b
 only through b mod P, since (b + P)^2*m - b^2*m = 2*b*a^2*(m/h) +
 a^2*(a^2/h)*(m/h) is a multiple of a^2.  So the hits past the lowest P
 values of b are translates of the hits among them.  A search makes at most
 P tests per a, and at a = t that is at most 2t (below).  Only these
-identities of the lattice are used, which hold for any a, b and m: nothing
-from `moduli`, neither its residue criterion nor its counting cases nor its
-lemma that puts the smallest residue b in [1, t].
+identities of the lattice are used, which hold for any a, b and m.  Of
+`moduli` the search reads only the class check, whose closed forms `lattice`
+checks against Gram matrices: not its residue criterion, nor its counting
+cases, nor its lemma that puts the smallest residue b in [1, t].
 
 The default bounds (max_a = t, max_b = 2t, max_e = d + 4m) hold a hit
 whenever any search finds one, so "no hit within default bounds" genuinely
@@ -61,8 +62,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .bundles import (BundleSpec, BundleStatus, SurfaceKind,
                       induced_bundle_status)
-from .lattice import Family, _is_class
-from .moduli import InternalInconsistency, ModuliQuery, ModuliReport, Witness
+from .moduli import (Family, InternalInconsistency, ModuliQuery,
+                     ModuliReport, Witness, _is_class, _validate)
 
 __all__ = [
     "SearchBounds",
@@ -83,7 +84,9 @@ class SearchBounds(NamedTuple):
 
 def default_bounds(q: ModuliQuery) -> SearchBounds:
     """Bounds guaranteed to contain a witness whenever one exists at all,
-    and one of every class that `class_count` counts (module docstring)."""
+    and one of every class that `class_count` counts (module docstring).
+    ValueError for n < 2, d < 1 or t < 1."""
+    _validate(q)
     return _default_bounds(q.d, q.t, q.family.m(q.n))
 
 
@@ -103,7 +106,7 @@ def enumerate_witnesses(
     Returned sorted by (a, b, e).  With stop_after = k >= 0 the scan stops
     once k witnesses are found (the result is then the first k of the full
     sorted enumeration, which is what existence probes need); k = 0 scans
-    nothing.  ValueError for t < 1 or a negative stop_after.
+    nothing.  ValueError for n < 2, d < 1, t < 1 or a negative stop_after.
 
     A cell with t not dividing 2m or t not dividing 2d returns [] with no
     scan, whatever the bounds: a hit has t | a and gcd(a, 2m) = t, so
@@ -115,14 +118,14 @@ def enumerate_witnesses(
     if bounds is None:
         bounds = _default_bounds(d, t, m)
     max_a, max_b, max_e = bounds
-    if t < 1:
-        raise ValueError("t must be >= 1, got %r" % (t,))
+    if d < 1 or t < 1:
+        _validate(q)  # raises, with the text of `moduli`
     found: list[Witness] = []
     if stop_after is not None and stop_after < 1:
         if stop_after:
             raise ValueError("stop_after must be >= 0, got %r" % (stop_after,))
         return found
-    if 2 * m % t or 2 * d % t:
+    if _no_hit(m, d, t):
         return found
     # t | a and gcd(a, 2m) = t for every hit (see the module docstring).
     # Hits come out sorted by (a, b), and e is a function of (a, b).
@@ -141,6 +144,11 @@ def enumerate_witnesses(
             if stop_after is not None and len(found) >= stop_after:
                 return found
     return found
+
+
+def _no_hit(m: int, d: int, t: int) -> bool:
+    # t does not divide 2m or 2d: no bounds hold a hit (module docstring)
+    return 2 * m % t != 0 or 2 * d % t != 0
 
 
 def _square_hits(m, d, asq, max_b):
@@ -172,8 +180,8 @@ def _square_hits(m, d, asq, max_b):
 
 def verify_witness(w: Witness, q: ModuliQuery) -> bool:
     """True iff w really is a polarization class for q: primitive, e >= 1,
-    square 2d, divisibility t, all checked by the lattice module's class
-    check.  ValueError for n < 2, whatever w is."""
+    square 2d, divisibility t, all checked by the class check of `moduli`.
+    ValueError for n < 2, whatever w is."""
     return _is_class(w.a, w.b, w.e, q.family.m(q.n), q.d, q.t)
 
 
@@ -243,10 +251,11 @@ def bundle_status(q: ModuliQuery) -> Optional[BundleStatus]:
 
 
 # The cap counts the pairs (a, b) of the default search, (max_a // t) *
-# (2*max_b + 1) = 4*t + 1: it is reached at t = 62501.  Every pair of the
-# window can be a hit that is checked through the lattice (t prime, t^2 | m,
-# t^2 | d: all b prime to t), so the cap is set from that cell; t = 62497
-# takes about 0.3 s (README).
+# (2*max_b + 1) = 4*t + 1, or 0 on a cell that `_no_hit` skips: it is
+# reached at t = 62501 on a cell with t | 2m and t | 2d.  Every pair of the
+# window can be a hit that is checked through the class check (t prime,
+# t^2 | m, t^2 | d: all b prime to t), so the cap is set from that cell;
+# t = 62497 takes about 0.3 s (README).
 ORACLE_MAX_CANDIDATES = 250_001
 
 
@@ -262,11 +271,15 @@ def cross_check(q: ModuliQuery, w: Optional[Witness],
     None, the two `*_some_component` flags must be that status: on that
     slice a non-empty space has b = 1 as its smallest residue, so its
     witness is (t, 1, e), the class t*L_n + delta.  Raises ValueError,
-    before any search, when the bounds hold more than ORACLE_MAX_CANDIDATES
-    pairs (a, b), and InternalInconsistency on any disagreement.
+    before any search, for n < 2, d < 1 or t < 1, or when the search would
+    test more than ORACLE_MAX_CANDIDATES pairs (a, b); a cell that
+    `_no_hit` skips tests none.  Raises InternalInconsistency on any
+    disagreement.
     """
     bounds = default_bounds(q)
-    pairs = bounds.max_a // q.t * (2 * bounds.max_b + 1)
+    family, n, d, t = q
+    pairs = (0 if _no_hit(family.m(n), d, t)
+             else bounds.max_a // t * (2 * bounds.max_b + 1))
     if pairs > ORACLE_MAX_CANDIDATES:
         raise ValueError(
             "oracle search over its default bounds, a = %d and |b| <= %d, "

@@ -889,13 +889,14 @@ def _no_search(*args, **kwargs):
 
 def test_oracle_refuses_large_t(capsys, monkeypatch):
     # default bounds at t: one multiple of t times (4 * t + 1); t = 62501
-    # is the smallest t refused
+    # is the smallest t refused.  Both t are prime and divide 2m = 2t and
+    # 2d = 2t, so the search would test its window.
     monkeypatch.setattr("hkmoduli.oracle.enumerate_witnesses", _no_search)
-    for n, t, estimate in (("10001", "100000", "400001"),
+    for n, t, estimate in (("100004", "100003", "400013"),
                            ("62502", "62501", "250005")):
         for command in ("check", "witness"):
             code, out, err = run(capsys, command, "--family", "k3n",
-                                 "--n", n, "--d", "1", "--t", t, "--oracle")
+                                 "--n", n, "--d", t, "--t", t, "--oracle")
             assert (code, out) == (1, "")
             assert err == (
                 "hkmoduli: error: oracle search over its default bounds, "
@@ -903,14 +904,26 @@ def test_oracle_refuses_large_t(capsys, monkeypatch):
                 "pairs (a, b), above the cap of %d\n"
                 % (t, 2 * int(t), estimate, oracle.ORACLE_MAX_CANDIDATES))
     # the cap is read from the oracle module when a search is asked for:
-    # lowered to 4*7, it refuses t = 7, whose search holds 29 pairs
+    # lowered to 4*7, it refuses t = 7 at d = 7, whose search holds 29 pairs
     monkeypatch.setattr(oracle, "ORACLE_MAX_CANDIDATES", 28)
     for command in ("check", "witness"):
         code, out, err = run(capsys, command, "--family", "k3n", "--n", "8",
-                             "--d", "1", "--t", "7", "--oracle")
+                             "--d", "7", "--t", "7", "--oracle")
         assert (code, out) == (1, "")
         assert err.endswith("would scan 4*t + 1 = 29 candidate pairs (a, b), "
                             "above the cap of 28\n")
+
+
+def test_oracle_answers_cells_it_skips_at_any_t(capsys):
+    # t does not divide 2m (first argv) or 2d (second): the search tests no
+    # pair there, so the cap does not apply and the oracle agrees that the
+    # space is empty, however far above the cap 4*t + 1 lies
+    for n, d, t in (("2", "1", "100000"), ("62502", "1", "62501")):
+        for command in ("check", "witness"):
+            code, out, err = run(capsys, command, "--family", "k3n", "--n",
+                                 n, "--d", d, "--t", t, "--oracle")
+            assert (code, err) == (0, "")
+            assert "oracle: agrees" in out
 
 
 def test_oracle_cap_counts_the_default_search(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hkmoduli import lattice
+from hkmoduli import lattice, moduli
 from hkmoduli.lattice import (
     DimensionMismatch,
     Family,
@@ -213,14 +213,14 @@ def test_closed_forms_match_rank3_gram(family, n, a, b, e):
     model = rank3_model(family, n)
     v = (a, a * e, b)
     m = family.m(n)
-    assert model.pair(v, v) == bbf_square(c) == lattice._square(a, b, e, m)
+    assert model.pair(v, v) == bbf_square(c) == moduli._square(a, b, e, m)
     assert gram_divisibility(model, v) == divisibility(c)
     # the class check against the Gram model's own square and divisibility,
     # at e and at 1 - e <= 0
     for e_ in (e, 1 - e):
         v = (a, a * e_, b)
-        assert (lattice._is_class(a, b, e_, m, model.pair(v, v) // 2,
-                                  gram_divisibility(model, v))
+        assert (moduli._is_class(a, b, e_, m, model.pair(v, v) // 2,
+                                 gram_divisibility(model, v))
                 == (e_ >= 1 and gcd(a, b) == 1))
 
 
@@ -235,21 +235,21 @@ def test_is_class_fails_on_each_condition_alone(family, n, a, b, e):
     m = family.m(n)
     c = LatticeClass(family, n, a, b, e)
     d, t = bbf_square(c) // 2, divisibility(c)
-    assert lattice._is_class(a, b, e, m, d, t)
+    assert moduli._is_class(a, b, e, m, d, t)
     # e out of range; the square and divisibility at e' <= 0 are those of
     # the closed forms, so only e >= 1 fails
     for bad_e in (0, -1):
-        assert not lattice._is_class(a, b, bad_e, m,
-                                     lattice._square(a, b, bad_e, m) // 2, t)
+        assert not moduli._is_class(a, b, bad_e, m,
+                                    moduli._square(a, b, bad_e, m) // 2, t)
     # k*v, k > 1: square k^2*2d and divisibility k*t, but not primitive
     for k in (2, 3):
-        assert not lattice._is_class(k * a, k * b, e, m, k * k * d, k * t)
+        assert not moduli._is_class(k * a, k * b, e, m, k * k * d, k * t)
     # the square one step off either way
-    assert not lattice._is_class(a, b, e, m, d + 1, t)
-    assert not lattice._is_class(a, b, e, m, d - 1, t)
+    assert not moduli._is_class(a, b, e, m, d + 1, t)
+    assert not moduli._is_class(a, b, e, m, d - 1, t)
     # a proper multiple of the divisibility, and a proper divisor of it
     for bad_t in (2 * t, 3 * t) + ((t // 2,) if t % 2 == 0 else ()):
-        assert not lattice._is_class(a, b, e, m, d, bad_t)
+        assert not moduli._is_class(a, b, e, m, d, bad_t)
 
 
 @settings(max_examples=200, deadline=None)

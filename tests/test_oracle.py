@@ -190,6 +190,19 @@ def test_malformed_queries_and_bounds_are_refused():
         enumerate_witnesses(q, (3, 6))
 
 
+def test_d_and_t_below_one_are_refused_by_every_entry_point():
+    # with the text of `moduli`: the completeness proof needs d >= 1, and
+    # the skip and the cap divide by t
+    q = ModuliQuery(K3, 3, 2, 2)
+    calls = (enumerate_witnesses, default_bounds,
+             lambda q: oracle.cross_check(q, None))
+    for field, bad in (("d", 0), ("d", -3), ("t", 0), ("t", -2)):
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match="%s must be >= 1, got %d" % (field, bad)):
+                call(q._replace(**{field: bad}))
+
+
 def test_sign_symmetry_in_b():
     q = ModuliQuery(KUM, 3, 12, 4)
     hits = enumerate_witnesses(q, SearchBounds(8, 10, 60))

@@ -29,7 +29,7 @@ def _modules_loaded_by(statement):
 # ------------------------------------------------------------ import hygiene
 
 HEAVY = ("logging", "dataclasses", "fractions", "json", "csv", "argparse",
-         "gettext", "hkmoduli.bundles", "hkmoduli.oracle")
+         "gettext", "hkmoduli.bundles", "hkmoduli.oracle", "hkmoduli.lattice")
 
 
 def test_cli_import_leaves_unused_modules_out():
@@ -45,7 +45,16 @@ def test_plain_check_loads_no_argparse_oracle_or_bundles():
         " '27', '--t', '3', '--format', 'json']) == 0")
     assert "hkmoduli.cli" in loaded
     assert [name for name in ("argparse", "gettext", "hkmoduli.oracle",
-                              "hkmoduli.bundles") if name in loaded] == []
+                              "hkmoduli.bundles", "hkmoduli.lattice")
+            if name in loaded] == []
+
+
+def test_moduli_imports_arith_alone():
+    # the calculator's chain is arith -> moduli -> cli: moduli holds the
+    # families and the class check itself and imports no checker
+    loaded = _modules_loaded_by("import hkmoduli.moduli")
+    assert sorted(m for m in loaded if m.startswith("hkmoduli.")) == [
+        "hkmoduli.arith", "hkmoduli.moduli"]
 
 
 def test_plain_table_and_kva_load_no_argparse():
@@ -61,8 +70,7 @@ def test_plain_table_and_kva_load_no_argparse():
 
 def test_report_loads_no_fractions_logging_or_dataclasses():
     loaded = _modules_loaded_by(
-        "from hkmoduli.moduli import ModuliQuery, report\n"
-        "from hkmoduli.lattice import Family\n"
+        "from hkmoduli.moduli import Family, ModuliQuery, report\n"
         "report(ModuliQuery(Family.K3HILB, 10, 27, 3))")
     assert "hkmoduli.moduli" in loaded
     assert [name for name in ("logging", "dataclasses", "fractions")
