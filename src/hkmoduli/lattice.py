@@ -24,8 +24,10 @@ closed forms on its fields; the class check of the calculator,
 quantities from an explicit bilinear form, with no shared code, as an
 oracle.  Only tests and the benchmark read this module; the calculator and
 `oracle` do not import it.
-A `GramLattice` keeps the nonzero entries of each row, found once when it
-is built, and `gram_divisibility` pairs through those alone.
+A `GramLattice` sorts its rows once, when it is built: a row with one
+nonzero entry x in column j pairs with v as the one product x*v[j], a row
+with more is kept as its nonzero entries and summed, and a zero row, which
+pairs to 0, is dropped; `gram_divisibility` folds gcd over what is left.
 
 Why a rank 3 model is faithful: v lies in the sublattice M = U + Z*delta,
 and M splits off H^2 as a direct summand, H^2 = M + N with N orthogonal to
@@ -118,8 +120,10 @@ def is_primitive(a: int, b: int) -> bool:
 
 class _GramFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
-    # per row, the (column, entry) pairs of its nonzero entries, from gram
-    terms: tuple[tuple[tuple[int, int], ...], ...]
+    # derived from gram: the (column, entry) pair of each row with one
+    # nonzero entry, then per row with more, its (column, entry) pairs
+    singles: tuple[tuple[int, int], ...]
+    sums: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class GramLattice(_GramFields):
@@ -129,23 +133,26 @@ class GramLattice(_GramFields):
     # it lives in this subclass; empty slots keep instances immutable.
     __slots__ = ()
 
-    def __new__(cls, gram: tuple[tuple[int, ...], ...]) -> GramLattice:
-        r = len(gram)
+    def __new__(cls, gram: Sequence[Sequence[int]]) -> GramLattice:
+        # a copy, so the caller's rows cannot change it after the check
+        gram = tuple(map(tuple, gram))
+        if any(len(row) != len(gram) for row in gram):
+            raise ValueError("Gram matrix must be square")
+        if tuple(zip(*gram)) != gram:  # the transpose
+            raise ValueError("Gram matrix must be symmetric")
+        singles, sums = [], []
         for row in gram:
-            if len(row) != r:
-                raise ValueError("Gram matrix must be square")
-        for i in range(r):
-            for j in range(i):
-                if gram[i][j] != gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-        terms = tuple(tuple((j, x) for j, x in enumerate(row) if x)
-                      for row in gram)
-        return super().__new__(cls, gram, terms)
+            nonzero = tuple((j, x) for j, x in enumerate(row) if x)
+            if len(nonzero) == 1:
+                singles += nonzero
+            elif nonzero:
+                sums.append(nonzero)
+        return super().__new__(cls, gram, tuple(singles), tuple(sums))
 
     @classmethod
     def _make(cls, iterable) -> GramLattice:
         # the inherited _make (and so _replace) would skip __new__ and keep
-        # the terms given; they are derived, so only the matrix is taken
+        # the rows given; they are derived, so only the matrix is taken
         gram, *_ = iterable
         return cls(gram)
 
@@ -174,14 +181,15 @@ def gram_divisibility(lat: GramLattice, v: Sequence[int]) -> int:
     This is the divisibility of v in `lat`, computed with no reference to
     the closed forms above.
     """
-    terms = lat.terms
-    if len(v) != len(terms):
-        raise DimensionMismatch(
-            "vector of length %d in a rank %d lattice" % (len(v), len(terms)))
-    # plain loops: a comprehension or generator per row costs more than the
-    # one to three products of a typical row
+    if len(v) != len(lat.gram):
+        raise DimensionMismatch("vector of length %d in a rank %d lattice"
+                                % (len(v), len(lat.gram)))
+    # plain loops: a comprehension or generator costs more than the few
+    # products it would take
     g = 0
-    for row in terms:
+    for j, x in lat.singles:
+        g = gcd(g, x * v[j])
+    for row in lat.sums:
         s = 0
         for j, x in row:
             s += x * v[j]
@@ -204,25 +212,21 @@ _E8_EDGES = ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4))
 
 def e8_minus() -> GramLattice:
     """E8(-1): negative definite, even, unimodular, rank 8."""
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        g[i][i] = -2
+    g = [[-2 * (i == j) for j in range(8)] for i in range(8)]
     for i, j in _E8_EDGES:
         g[i - 1][j - 1] = g[j - 1][i - 1] = 1
-    return GramLattice(tuple(tuple(row) for row in g))
+    return GramLattice(g)
 
 
 def direct_sum(*parts: GramLattice) -> GramLattice:
     """Orthogonal direct sum, blocks in the given order."""
     rank = sum(p.rank for p in parts)
-    g = [[0] * rank for _ in range(rank)]
-    off = 0
+    rows, off = [], 0
     for p in parts:
-        for i in range(p.rank):
-            for j in range(p.rank):
-                g[off + i][off + j] = p.gram[i][j]
+        pad = rank - off - p.rank
+        rows += [(0,) * off + row + (0,) * pad for row in p.gram]
         off += p.rank
-    return GramLattice(tuple(tuple(row) for row in g))
+    return GramLattice(rows)
 
 
 def rank3_model(family: Family, n: int) -> GramLattice:

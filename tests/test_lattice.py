@@ -154,25 +154,47 @@ def test_direct_sum_and_full_models():
 
 def test_gram_terms_are_derived_from_the_matrix():
     u = hyperbolic_plane()
-    assert u.terms == (((1, 1),), ((0, 1),))
-    assert rank3_model(Family.K3HILB, 3).terms == (
-        ((1, 1),), ((0, 1),), ((2, -4),))
-    # 3 * 2 entries in the U's, 2 * (8 + 2 * 7) in the E8(-1)'s, and delta
-    assert sum(map(len, full_model(Family.K3HILB, 2).terms)) == 51
+    assert u.singles == ((1, 1), (0, 1)) and u.sums == ()
+    assert rank3_model(Family.K3HILB, 3).singles == ((1, 1), (0, 1), (2, -4))
+    assert rank3_model(Family.K3HILB, 3).sums == ()
+    # the 6 rows of the U's and delta have one entry each; each of the 16
+    # rows of the E8(-1)'s has its diagonal and one to three edges
+    k3 = full_model(Family.K3HILB, 2)
+    assert len(k3.singles) == 7 and len(k3.sums) == 16
+    assert k3.singles[-1] == (22, -2)
+    assert sum(map(len, k3.sums)) == 2 * (8 + 2 * 7)
+    assert len(full_model(Family.KUMMER, 2).singles) == 7
+    assert full_model(Family.KUMMER, 2).sums == ()
+    # a zero row pairs to 0 and is dropped
+    assert GramLattice(((0, 0), (0, 3))).singles == ((1, 3),)
+    assert GramLattice(((0, 0), (0, 0))) == (((0, 0), (0, 0)), (), ())
     # two lattices from one matrix are equal, and so are their rows
     assert GramLattice(((0, 1), (1, 0))) == u
     assert direct_sum(hyperbolic_plane(), GramLattice(((-4,),))) == (
         rank3_model(Family.K3HILB, 3))
     # _replace and _make take the matrix and derive its rows again
     w = u._replace(gram=((2, -1), (-1, 0)))
-    assert w.terms == (((0, 2), (1, -1)), ((0, -1),))
-    assert GramLattice._make((((0, 3), (3, 0)), u.terms)).terms == (
-        ((1, 3),), ((0, 3),))
-    assert u._replace(terms=((), ())) == u
+    assert w.singles == ((0, -1),) and w.sums == (((0, 2), (1, -1)),)
+    assert GramLattice._make((((0, 3), (3, 0)), u.singles, u.sums)) == (
+        (((0, 3), (3, 0)), ((1, 3), (0, 3)), ()))
+    assert u._replace(singles=(), sums=(((0, 5),),)) == u
     with pytest.raises(ValueError):
-        GramLattice._make((((0, 1), (2, 0)), u.terms))
+        GramLattice._make((((0, 1), (2, 0)), u.singles, u.sums))
     assert copy.copy(u) == u
     assert pickle.loads(pickle.dumps(e8_minus())) == e8_minus()
+
+
+def test_gram_lattice_keeps_no_reference_to_the_callers_rows():
+    g = [[0, 1], [1, 0]]
+    lat = GramLattice(g)
+    g[0][1] = g[1][0] = 2
+    assert lat.gram == ((0, 1), (1, 0)) and lat == hyperbolic_plane()
+    assert gram_divisibility(lat, (1, 1)) == 1
+    assert lat.pair((1, 1), (1, 0)) == 1
+    # tuples all the way down, so a lattice is hashable
+    assert hash(lat) == hash(hyperbolic_plane())
+    assert len({lat, hyperbolic_plane(), GramLattice(([0, 1], [1, 0]))}) == 1
+    assert {e8_minus(): 8}[e8_minus()] == 8
 
 
 def test_gram_divisibility_basics():
@@ -283,6 +305,7 @@ def test_gram_divisibility_off_the_rank3_span(family, n, data):
 
 mostly_zero = st.one_of(st.just(0), st.just(0), st.just(0),
                         st.integers(min_value=-30, max_value=30))
+nonzero = st.integers(min_value=-30, max_value=30).filter(bool)
 
 
 @st.composite
@@ -292,23 +315,56 @@ def sparse_symmetric(draw):
     for i in range(r):
         for j in range(i, r):
             g[i][j] = g[j][i] = draw(mostly_zero)
-    return GramLattice(tuple(map(tuple, g)))
+    return GramLattice(g)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(sparse_symmetric(), st.builds(full_model, families, small_n),
+@st.composite
+def mixed_rows(draw):
+    # rank 1 to 8, from diagonal blocks, then the basis is shuffled: a 1 x 1
+    # block is a zero row or a row with one entry, a 2 x 2 one U(x) (two rows
+    # with one entry each) or dense, a 3 x 3 one dense (rows with 2+ entries)
+    r = draw(st.integers(1, 8))
+    blocks = []
+    while sum(map(len, blocks)) < r:
+        k = draw(st.integers(1, min(3, r - sum(map(len, blocks)))))
+        if k == 1:
+            blocks.append([[draw(st.one_of(st.just(0), nonzero))]])
+        elif k == 2 and draw(st.booleans()):
+            x = draw(nonzero)
+            blocks.append([[0, x], [x, 0]])
+        else:
+            b = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    b[i][j] = b[j][i] = draw(nonzero)
+            blocks.append(b)
+    g = direct_sum(*map(GramLattice, blocks)).gram
+    p = draw(st.permutations(range(r)))
+    return GramLattice([[g[p[i]][p[j]] for j in range(r)] for i in range(r)])
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(sparse_symmetric(), mixed_rows(),
+                 st.builds(full_model, families, small_n),
                  st.just(e8_minus())), st.data())
 def test_gram_divisibility_matches_dense_reference(lat, data):
-    # the gcd of the pairings of v with the basis, every entry of every row
-    # multiplied, zeros included; 0 when v pairs to 0 with all of them
-    v = data.draw(st.lists(coeff, min_size=lat.rank, max_size=lat.rank))
-    expected = gcd(*(sum(gij * vj for gij, vj in zip(row, v))
-                     for row in lat.gram))
+    # the gcd of the pairings of v with the basis vectors through pair, which
+    # multiplies every entry of the matrix, zeros included; 0 when v pairs to
+    # 0 with all of them
+    r = lat.rank
+    v = data.draw(st.lists(coeff, min_size=r, max_size=r))
+    basis = [[int(i == j) for j in range(r)] for i in range(r)]
+    expected = gcd(*(lat.pair(v, e) for e in basis))
     if expected == 0:
         with pytest.raises(ValueError, match="pairs to 0 with every basis"):
             gram_divisibility(lat, v)
     else:
         assert gram_divisibility(lat, v) == expected
+    for w in (v[:-1], v + [1]):
+        with pytest.raises(DimensionMismatch):
+            gram_divisibility(lat, w)
+        with pytest.raises(DimensionMismatch):
+            lat.pair(w, basis[0])
 
 
 @settings(max_examples=200)

@@ -142,7 +142,7 @@ def test_result_types_reject_assignment():
     q = ModuliQuery(Family.K3HILB, 10, 27, 3)
     th = thresholds(q)
     lat = rank3_model(Family.KUMMER, 3)
-    assert lat._fields == ("gram", "terms")
+    assert lat._fields == ("gram", "singles", "sums")
     for value in (decompose(q), th, report(q), lat):
         for field in value._fields:
             with pytest.raises(AttributeError):
