@@ -87,10 +87,14 @@ def mod_inverse(x: int, m: int) -> int:
         raise NotInvertible("%d is not invertible modulo %d" % (x, m)) from None
 
 
-def _qr_odd_prime_power(x: int, p: int) -> bool:
-    # x reduced mod p^k, p odd prime.  Solvable y^2 = x iff, writing
+def _qr_prime_power(x: int, p: int) -> bool:
+    # x reduced mod p^k, p prime.  Solvable y^2 = x iff, writing
     # x = p^j * u with p not dividing u, either j >= k (x = 0), or j is even
-    # and u is a residue mod p (Euler's criterion lifts by Hensel).
+    # and the unit u is a square mod p^(k-j).  For odd p that holds iff u is
+    # a residue mod p (Euler's criterion lifts by Hensel).  For p = 2 it
+    # holds always when k - j = 1, iff u = 1 (4) when k - j = 2 and iff
+    # u = 1 (8) when k - j >= 3; since 0 < u < 2^(k-j), the first two read
+    # u = 1, so all three read u = 1 (8) and k is not needed.
     if x == 0:
         return True
     j = 0
@@ -99,26 +103,7 @@ def _qr_odd_prime_power(x: int, p: int) -> bool:
         j += 1
     if j % 2:
         return False
-    return pow(x, (p - 1) // 2, p) == 1
-
-
-def _qr_two_power(x: int, k: int) -> bool:
-    # x reduced mod 2^k.  Same peel-off; a unit u is a square mod 2 always,
-    # mod 4 iff u = 1 (4), mod 2^j (j >= 3) iff u = 1 (8).
-    if x == 0:
-        return True
-    j = 0
-    while x % 2 == 0:
-        x //= 2
-        j += 1
-    if j % 2:
-        return False
-    rem = k - j
-    if rem <= 1:
-        return True
-    if rem == 2:
-        return x % 4 == 1
-    return x % 8 == 1
+    return pow(x, (p - 1) // 2, p) == 1 if p > 2 else x % 8 == 1
 
 
 def is_quadratic_residue(x: int, m: int) -> bool:
@@ -142,10 +127,7 @@ def is_quadratic_residue(x: int, m: int) -> bool:
     if m == 1 or x in (0, 1):
         return True
     for p, k in factorize(m):
-        if p == 2:
-            if not _qr_two_power(x % (1 << k), k):
-                return False
-        elif not _qr_odd_prime_power(x % p ** k, p):
+        if not _qr_prime_power(x % p ** k, p):
             return False
     return True
 

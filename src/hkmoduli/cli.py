@@ -25,8 +25,10 @@ output early (nothing more is written, not even to stderr), 2 internal
 inconsistency (the closed formulas and the brute-force oracle, or two
 formulas, disagree; this is a bug report, not a user error).
 
-The --oracle flag of check and witness is one call, oracle.cross_check: it
-holds the search, its cap and every comparison.
+check and witness answer through one step, _answer: the report of the
+query, with its count guard, and under --oracle one call,
+oracle.cross_check(report), which holds the search, its cap and every
+comparison.  The two commands differ only in how they render the answer.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 # branches that use them, so a one-shot call does not pay for what it does
 # not run.
 from .moduli import (Family, InternalInconsistency, ModuliQuery, ModuliReport,
-                     _bounds, _cells, _notes_text, _validate, report, reports,
-                     witness)
+                     _bounds, _cells, _notes_text, _reports, report)
 
 if TYPE_CHECKING:
     import argparse
+
+    from .oracle import SearchBounds
 
 __all__ = ["main"]
 
@@ -191,16 +194,24 @@ def _csv_lines(family: Family, n: int, t: int, ds: range) -> Iterator[str]:
                           d * den >= va_num, count == 1)
 
 
+def _answer(args: argparse.Namespace
+            ) -> tuple[ModuliReport, Optional[SearchBounds]]:
+    # The report of a check or witness query and, under --oracle, the bounds
+    # of the search that agreed with it.  Both commands answer here, so both
+    # exit 2 on the count guard of `report` and on every oracle comparison.
+    rep = report(ModuliQuery(Family(args.family), args.n, args.d, args.t))
+    if not args.oracle:
+        return rep, None
+    from .oracle import cross_check
+    return rep, cross_check(rep)
+
+
 def _cmd_check(args: argparse.Namespace) -> None:
-    q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
-    rep = report(q)
-    oracle = ""
-    if args.oracle:
-        from .oracle import cross_check
-        bounds = cross_check(q, rep.witness, rep)
-        oracle = (_ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty])
-                  if args.format == "json" else
-                  _ORACLE_HUMAN % (_YESNO[rep.non_empty], *bounds))
+    rep, bounds = _answer(args)
+    oracle = ("" if bounds is None else
+              _ORACLE_JSON % (*bounds, _FLAGS[rep.non_empty])
+              if args.format == "json" else
+              _ORACLE_HUMAN % (_YESNO[rep.non_empty], *bounds))
     if args.format == "json":
         sys.stdout.write(_report_json(rep, oracle) + "\n")
     else:
@@ -216,10 +227,11 @@ def _cmd_check(args: argparse.Namespace) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> None:
     family, n, ds = Family(args.family), args.n, args.d_range
+    # n < 2 raises here, before the first byte; every t and d is already
+    # >= 1, as _parse_t_list and _parse_range refuse the rest
+    family.m(n)
     ts = sorted(set(args.t))
-    for t in ts:  # so that an input error exits 1 before the first byte
-        _validate(ModuliQuery(family, n, 1, t))
-    reps = itertools.chain.from_iterable(reports(family, n, t, ds)
+    reps = itertools.chain.from_iterable(_reports(family, n, t, ds)
                                          for t in ts)
     if args.format == "json":
         # each element is a check's object one level deeper; no value
@@ -268,17 +280,14 @@ def _cmd_kva(args: argparse.Namespace) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> None:
-    q = ModuliQuery(Family(args.family), args.n, args.d, args.t)
-    w = witness(q)
-    oracle = ""
-    if args.oracle:
-        from .oracle import cross_check
-        bounds = cross_check(q, w)
-        oracle = (_ORACLE_JSON % (*bounds, _FLAGS[w is not None])
-                  if args.format == "json" else "oracle: agrees\n")
+    rep, bounds = _answer(args)
+    family, n, d, t, non_empty, _, w = rep[:7]
+    oracle = ("" if bounds is None else
+              _ORACLE_JSON % (*bounds, _FLAGS[non_empty])
+              if args.format == "json" else "oracle: agrees\n")
     if args.format == "json":
         sys.stdout.write(_WITNESS_JSON % (
-            q.family.value, q.n, q.d, q.t, _FLAGS[w is not None],
+            family.value, n, d, t, _FLAGS[non_empty],
             "null" if w is None else _TRIPLE_JSON % w, oracle))
     else:
         print("witness: none (moduli space is empty)" if w is None

@@ -49,10 +49,11 @@ bounds of `bundles`, not the threshold formulas of `moduli`.  On the slice
 t >= 2, t^2 | d + m it gives the status of the bundle that the class
 t*L_n + delta induces.
 
-`cross_check` is the whole of `--oracle`: one search within the default
-bounds, refused above ORACLE_MAX_CANDIDATES pairs (a, b), whose hits must
-agree with a formula's witness and, given a report, with its component
-count and its two flags.
+`cross_check(rep)` is the whole of `--oracle`, for `check` and `witness`
+alike: one search within the default bounds of the report's query,
+refused above ORACLE_MAX_CANDIDATES pairs (a, b), whose hits must agree
+with the report's verdict, its witness, its component count and its two
+flags.
 """
 
 from __future__ import annotations
@@ -181,8 +182,12 @@ def _square_hits(m, d, asq, max_b):
 def verify_witness(w: Witness, q: ModuliQuery) -> bool:
     """True iff w really is a polarization class for q: primitive, e >= 1,
     square 2d, divisibility t, all checked by the class check of `moduli`.
-    ValueError for n < 2, whatever w is."""
-    return _is_class(w.a, w.b, w.e, q.family.m(q.n), q.d, q.t)
+    ValueError for n < 2, d < 1 or t < 1, whatever w is."""
+    family, n, d, t = q
+    if d < 1 or t < 1:
+        _validate(q)  # raises, with the text of `moduli`
+    a, b, e = w
+    return _is_class(a, b, e, family.m(n), d, t)
 
 
 def class_count(q: ModuliQuery, hits: Iterable[Witness]) -> int:
@@ -194,7 +199,7 @@ def class_count(q: ModuliQuery, hits: Iterable[Witness]) -> int:
     the class of v/t is 2m*b/t mod 2m.  It is folded to min(c, -c mod 2m).
     Over the hits of the default bounds this counts every class that any
     search finds (module docstring), with no special case at t <= 2 (there
-    every class is its own negative).
+    every class is its own negative).  ValueError for n < 2, d < 1 or t < 1.
 
     By Eichler's criterion (the lattice L of either family contains U + U)
     the orbit of a primitive v under the isometries of O+(L) that act as +1
@@ -218,8 +223,11 @@ def class_count(q: ModuliQuery, hits: Iterable[Witness]) -> int:
     the count of W-orbits is the component count.
     Acceptance criterion 12 checks s on the full Kummer-type lattice.
     """
-    two_m = 2 * q.family.m(q.n)
-    classes = (two_m // q.t * w.b % two_m for w in hits)
+    family, n, d, t = q
+    if d < 1 or t < 1:
+        _validate(q)  # raises, with the text of `moduli`
+    two_m = 2 * family.m(n)
+    classes = (two_m // t * w.b % two_m for w in hits)
     return len({min(c, -c % two_m) for c in classes})
 
 
@@ -241,9 +249,12 @@ def bundle_status(q: ModuliQuery) -> Optional[BundleStatus]:
     match with the threshold flags shows that they are exactly what this
     class certifies; it does not prove the "iff" of the threshold notes.
     t = 1 is left out: there the a = 1 bundle rule and the t = 1 threshold
-    rules disagree, so they are not the status of this class.
+    rules disagree, so they are not the status of this class.  ValueError
+    for n < 2, d < 1 or t < 1.
     """
     family, n, d, t = q
+    if d < 1 or t < 1:
+        _validate(q)  # raises, with the text of `moduli`
     e, r = divmod(d + family.m(n), t * t)
     if t < 2 or r:
         return None
@@ -259,15 +270,13 @@ def bundle_status(q: ModuliQuery) -> Optional[BundleStatus]:
 ORACLE_MAX_CANDIDATES = 250_001
 
 
-def cross_check(q: ModuliQuery, w: Optional[Witness],
-                rep: Optional[ModuliReport] = None) -> SearchBounds:
-    """Check a formula's witness `w` for q, and a report's count and flags
-    when `rep` is given, against one search within `default_bounds(q)`;
-    return those bounds.
+def cross_check(rep: ModuliReport) -> SearchBounds:
+    """Check a report against one search within `default_bounds` of its
+    query; return those bounds.
 
-    The search must find a hit exactly when `w` is not None, and `w` must
-    be among its hits.  With `rep`, `rep.components` must be `class_count`
-    over the hits and, when there is a witness and `bundle_status(q)` is not
+    The search must find a hit exactly when the report has a witness, the
+    witness must be among its hits, `rep.components` must be `class_count`
+    over the hits and, when there is a witness and `bundle_status` is not
     None, the two `*_some_component` flags must be that status: on that
     slice a non-empty space has b = 1 as its smallest residue, so its
     witness is (t, 1, e), the class t*L_n + delta.  Raises ValueError,
@@ -276,8 +285,9 @@ def cross_check(q: ModuliQuery, w: Optional[Witness],
     `_no_hit` skips tests none.  Raises InternalInconsistency on any
     disagreement.
     """
+    family, n, d, t, _, count, w, bpf, va = rep[:9]
+    q = ModuliQuery(family, n, d, t)
     bounds = default_bounds(q)
-    family, n, d, t = q
     pairs = (0 if _no_hit(family.m(n), d, t)
              else bounds.max_a // t * (2 * bounds.max_b + 1))
     if pairs > ORACLE_MAX_CANDIDATES:
@@ -286,10 +296,8 @@ def cross_check(q: ModuliQuery, w: Optional[Witness],
             "would scan 4*t + 1 = %d candidate pairs (a, b), above the cap "
             "of %d" % (*bounds[:2], pairs, ORACLE_MAX_CANDIDATES))
     hits = enumerate_witnesses(q, bounds)
-    if ((w not in hits) if w else hits) or rep and (
-            rep.components != class_count(q, hits)
-            or w and bundle_status(q) not in (
-                None, (rep.bpf_some_component, rep.va_some_component))):
+    if (((w not in hits) if w else hits) or count != class_count(q, hits)
+            or w and bundle_status(q) not in (None, (bpf, va))):
         raise InternalInconsistency(
             "oracle (search within %r, class count, bundle status) disagrees "
             "with the formulas at %r" % (bounds, q))

@@ -252,6 +252,19 @@ def test_table_csv_internal_inconsistency_exits_2(capsys, monkeypatch):
     assert out.startswith(",".join(cli._CSV_HEADER) + "\n")
 
 
+def test_witness_internal_inconsistency_exits_2(capsys, monkeypatch):
+    # `witness` answers through `report`, so the count guard stops it too:
+    # with every count forced to 0, the non-empty (k3n, 2, 3, 2) exits 2
+    monkeypatch.setattr(moduli, "_count_detail",
+                        lambda dec, t: (0, None, False))
+    for fmt in ("human", "json"):
+        code, out, err = run(capsys, "witness", "--family", "k3n", "--n",
+                             "2", "--d", "3", "--t", "2", "--format", fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err.startswith("internal inconsistency: "), fmt
+        assert "n=2, d=3, t=2)" in err, fmt
+
+
 class _Discard:
     # a stdout that keeps nothing of what is written to it
     def write(self, text):
@@ -706,31 +719,25 @@ def test_oracle_checks_the_witness_is_a_hit(capsys, monkeypatch):
     # formulas would print must be among the oracle's hits, even where the
     # search finds the space non-empty
     argv = ["--family", "k3n", "--n", "2", "--d", "3", "--t", "2", "--oracle"]
-    wrong = Witness(2, 1, 2)
-    monkeypatch.setattr(cli, "witness", lambda q: wrong)
-    code, out, err = run(capsys, "witness", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
     rep = moduli.report(ModuliQuery(Family.K3HILB, 2, 3, 2))
-    monkeypatch.setattr(cli, "report", lambda q: rep._replace(witness=wrong))
-    code, out, err = run(capsys, "check", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
+    monkeypatch.setattr(cli, "report",
+                        lambda q: rep._replace(witness=Witness(2, 1, 2)))
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("internal inconsistency: "), command
 
 
 def test_oracle_checks_an_empty_answer_has_no_hit(capsys, monkeypatch):
     # (k3n, 2, 3, 2) is non-empty: formulas that answered "no witness" there
     # are caught by the search's hits alone (the count is left at its value)
     argv = ["--family", "k3n", "--n", "2", "--d", "3", "--t", "2", "--oracle"]
-    monkeypatch.setattr(cli, "witness", lambda q: None)
-    code, out, err = run(capsys, "witness", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
     rep = moduli.report(ModuliQuery(Family.K3HILB, 2, 3, 2))
     monkeypatch.setattr(cli, "report", lambda q: rep._replace(witness=None))
-    code, out, err = run(capsys, "check", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("internal inconsistency: "), command
 
 
 def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
@@ -743,13 +750,16 @@ def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
         return count + (count > 0), branch, halved
 
     monkeypatch.setattr(moduli, "_count_detail", one_too_many)
-    argv = ["check", "--family", "k3n", "--n", "17", "--d", "48", "--t", "8",
-            "--format", "json"]
-    code, out, _ = run(capsys, *argv)
+    query = ["--family", "k3n", "--n", "17", "--d", "48", "--t", "8"]
+    code, out, _ = run(capsys, "check", *query, "--format", "json")
     assert code == 0 and json.loads(out)["components"] == 3
-    code, out, err = run(capsys, *argv, "--oracle")
-    assert (code, out) == (2, "")
-    assert err.startswith("internal inconsistency: ")
+    # `witness` prints no count, but it answers through `report` too
+    code, out, _ = run(capsys, "witness", *query)
+    assert code == 0 and out == "witness: a=8 b=1 e=1\n"
+    for command in ("check", "witness"):
+        code, out, err = run(capsys, command, *query, "--oracle")
+        assert (code, out) == (2, ""), command
+        assert err.startswith("internal inconsistency: "), command
     # an empty cell's count 0 is left as it is, and agrees
     code, out, _ = run(capsys, "check", "--family", "k3n", "--n", "17",
                        "--d", "47", "--t", "8", "--oracle")

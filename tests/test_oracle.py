@@ -192,10 +192,13 @@ def test_malformed_queries_and_bounds_are_refused():
 
 def test_d_and_t_below_one_are_refused_by_every_entry_point():
     # with the text of `moduli`: the completeness proof needs d >= 1, and
-    # the skip and the cap divide by t
+    # the skip, the cap, the class count and the bundle status divide by t
     q = ModuliQuery(K3, 3, 2, 2)
-    calls = (enumerate_witnesses, default_bounds,
-             lambda q: oracle.cross_check(q, None))
+    rep = report(q)
+    calls = (enumerate_witnesses, default_bounds, bundle_status,
+             lambda q: verify_witness(Witness(2, 1, 1), q),
+             lambda q: class_count(q, []),
+             lambda q: oracle.cross_check(rep._replace(d=q.d, t=q.t)))
     for field, bad in (("d", 0), ("d", -3), ("t", 0), ("t", -2)):
         for call in calls:
             with pytest.raises(ValueError,
