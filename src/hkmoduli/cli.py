@@ -34,7 +34,6 @@ comparison.  The two commands differ only in how they render the answer.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 from types import SimpleNamespace
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 # branches that use them, so a one-shot call does not pay for what it does
 # not run.
 from .moduli import (Family, InternalInconsistency, ModuliQuery, ModuliReport,
-                     _bounds, _cells, _notes_text, _reports, report)
+                     _cells, _report_notes, _reports, report)
 
 if TYPE_CHECKING:
     import argparse
@@ -168,30 +167,25 @@ def _report_json(rep: ModuliReport, oracle: str = "") -> str:
     # the report's JSON object with `oracle` as its last member and no final
     # newline, since a table writes it as an element
     (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
-     halved) = rep
+     _) = rep
     return _REPORT_JSON % (
         family.value, n, d, t, _FLAGS[non_empty], components,
         "null" if w is None else _TRIPLE_JSON % w, _FLAGS[bpf], _FLAGS[va],
-        fujita, _FLAGS[every], _notes_text(t, d, *_bounds(family, n, t),
-                                           fujita, halved, _NOTE_SEP), oracle)
+        fujita, _FLAGS[every], _report_notes(rep, _NOTE_SEP), oracle)
 
 
 def _csv_lines(family: Family, n: int, t: int, ds: range) -> Iterator[str]:
     # The rows of one t's sweep, in the columns of _CSV_HEADER, each from its
-    # cell of `_cells` and the bounds, flags masked as in a report; %d writes
-    # a bool as 0/1.  family, n, t and the Fujita power are the same in every
-    # row, so both formats are made once: an empty cell has no witness, count
-    # 0 and every flag False, so its row depends on d alone.
-    den, bpf_num, va_num = _bounds(family, n, t)
+    # cell of `_cells`, whose flags are a report's; %d writes a bool as 0/1.
+    # family, n, t and the Fujita power are the same in every row, so both
+    # formats are made once: an empty cell has no witness, count 0 and every
+    # flag False, so its row depends on d alone.
     head = "%s,%d,%%d,%d," % (family.value, n, t)
     empty = head + "0,0,,,,0,0,%d,0\n" % (n + 2)
     full = head + "1,%%d,%%d,%%d,%%d,%%d,%%d,%d,%%d\n" % (n + 2)
-    for d, w, count, _ in _cells(family, n, t, ds):
-        if w is None:
-            yield empty % d
-        else:
-            yield full % (d, count, *w, d * den >= bpf_num,
-                          d * den >= va_num, count == 1)
+    for d, w, count, _, bpf, va in _cells(family, n, t, ds):
+        yield empty % d if w is None else full % (d, count, *w, bpf, va,
+                                                  count == 1)
 
 
 def _answer(args: argparse.Namespace
@@ -215,14 +209,13 @@ def _cmd_check(args: argparse.Namespace) -> None:
     if args.format == "json":
         sys.stdout.write(_report_json(rep, oracle) + "\n")
     else:
-        (family, n, d, t, non_empty, components, w, bpf, va, fujita, every,
-         halved) = rep
+        (family, n, d, t, non_empty, components, w, bpf, va, _, every,
+         _) = rep
         sys.stdout.write(_REPORT_HUMAN % (
             family.value, n, d, t, _YESNO[non_empty], components,
             "none" if w is None else "a=%d b=%d e=%d" % w, _YESNO[bpf],
-            _YESNO[va], _YESNO[every],
-            _notes_text(t, d, *_bounds(family, n, t), fujita, halved,
-                        "\nnote: "), oracle))
+            _YESNO[va], _YESNO[every], _report_notes(rep, "\nnote: "),
+            oracle))
 
 
 def _cmd_table(args: argparse.Namespace) -> None:
@@ -231,12 +224,11 @@ def _cmd_table(args: argparse.Namespace) -> None:
     # >= 1, as _parse_t_list and _parse_range refuse the rest
     family.m(n)
     ts = sorted(set(args.t))
-    reps = itertools.chain.from_iterable(_reports(family, n, t, ds)
-                                         for t in ts)
     if args.format == "json":
         # each element is a check's object one level deeper; no value
         # holds a newline, so indenting every line indents the object
-        items = (_report_json(r).replace("\n", "\n  ") for r in reps)
+        items = (_report_json(r).replace("\n", "\n  ")
+                 for t in ts for r in _reports(family, n, t, ds))
         sys.stdout.write("[\n  " + next(items))
         sys.stdout.writelines(",\n  " + item for item in items)
         sys.stdout.write("\n]\n")
@@ -248,12 +240,13 @@ def _cmd_table(args: argparse.Namespace) -> None:
         print("family=%s n=%d" % (family.value, n))
         print("%4s %5s %6s %5s %8s %4s %4s %4s" %
               ("t", "d", "empty?", "comps", "witness", "bpf", "va", "all"))
-        for r in reps:
-            w = "-" if r.witness is None else ("%d,%d,%d" % r.witness)
-            print("%4d %5d %6s %5d %8s %4s %4s %4s" %
-                  (r.t, r.d, _YESNO[not r.non_empty], r.components, w,
-                   _YESNO[r.bpf_some_component], _YESNO[r.va_some_component],
-                   _YESNO[r.applies_to_all_components]))
+        # the rows from the cells of each t, as csv reads them
+        for t in ts:
+            for d, w, count, _, bpf, va in _cells(family, n, t, ds):
+                print("%4d %5d %6s %5d %8s %4s %4s %4s" % (
+                    t, d, _YESNO[w is None], count,
+                    "-" if w is None else "%d,%d,%d" % w, _YESNO[bpf],
+                    _YESNO[va], _YESNO[count == 1]))
 
 
 def _cmd_kva(args: argparse.Namespace) -> None:

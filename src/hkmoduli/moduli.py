@@ -268,10 +268,7 @@ class ModuliReport(NamedTuple):
     def threshold_notes(self) -> tuple[str, ...]:
         """The threshold notes of the query, and one more when the count
         used exact halving; rendered when read."""
-        family, n, d, t = self[:4]
-        return tuple(_notes_text(t, d, *_bounds(family, n, t),
-                                 self.fujita_power, self.halved,
-                                 "\n").split("\n"))
+        return tuple(_report_notes(self, "\n").split("\n"))
 
 
 def decompose(q: ModuliQuery) -> Decomposition:
@@ -487,6 +484,13 @@ def _notes_text(t: int, d: int, den: int, bpf_num: int, va_num: int,
     return text
 
 
+def _report_notes(rep: ModuliReport, sep: str) -> str:
+    # the notes of a report, `threshold_notes`, joined with sep
+    family, n, d, t = rep[:4]
+    return _notes_text(t, d, *_bounds(family, n, t), rep.fujita_power,
+                       rep.halved, sep)
+
+
 def prime_power_connected(q: ModuliQuery) -> bool:
     """Sufficient condition for connectedness by the shape of t alone.
 
@@ -526,10 +530,12 @@ def reports(family: Family, n: int, t: int,
     and re-verifies the witness from it as `witness` does (the space is
     non-empty exactly when there is one) and cross-checks the counting
     formula against it, raising InternalInconsistency when they disagree.
-    That guard lives in `_cells`, the one cell loop behind `report`,
-    `reports` and the CSV table.  The per-component guarantees are masked
-    with non-emptiness (no component, no claim) and apply to every
-    component exactly when the count is 1.
+    The per-component guarantees are masked with non-emptiness (no
+    component, no claim) and apply to every component exactly when the
+    count is 1.  The guard and the mask live in `_cells`, the one cell loop
+    behind `report`, `reports` and every `table` format: it yields each
+    cell's witness, count, halving and both masked flags, and the rest is
+    formatting.
 
     Within one sweep the residue and the count are each computed once per
     class of d they read; the witness and the cross-check still run on
@@ -546,25 +552,25 @@ def reports(family: Family, n: int, t: int,
 
 def _reports(family: Family, n: int, t: int,
              ds: Iterable[int]) -> Iterator[ModuliReport]:
-    den, bpf_num, va_num = _bounds(family, n, t)
     # tuple.__new__ builds the same ModuliReport as its generated 12-argument
     # __new__, at about half the cost (`report` builds its one report alike)
     new = tuple.__new__
-    for d, w, count, halved in _cells(family, n, t, ds):
-        ne = w is not None
-        yield new(ModuliReport, (family, n, d, t, ne, count, w,
-                                 ne and d * den >= bpf_num,
-                                 ne and d * den >= va_num, n + 2, count == 1,
-                                 halved))
+    for d, w, count, halved, bpf, va in _cells(family, n, t, ds):
+        yield new(ModuliReport, (family, n, d, t, w is not None, count, w,
+                                 bpf, va, n + 2, count == 1, halved))
 
 
 def _cells(family: Family, n: int, t: int, ds: Iterable[int]
-           ) -> Iterator[tuple[int, Optional[Witness], int, bool]]:
-    # (d, witness or None, count, halved) for each d of ds, as `reports`
-    # describes; n and t are already valid
+           ) -> Iterator[tuple[int, Optional[Witness], int, bool, bool, bool]]:
+    # (d, witness or None, count, halved, bpf, va) for each d of ds, as
+    # `reports` describes: the answer fields of one cell, computed here and
+    # nowhere else.  bpf and va say whether d clears the base point free and
+    # very ample bounds, masked with non-emptiness, so both are False on
+    # every empty cell.  n and t are already valid.
     m = family.m(n)
     t_divides_2m = (2 * m) % t == 0
     tsq, two_t = t * t, 2 * t
+    den, bpf_num, va_num = _bounds(family, n, t)
     # b (None when empty) by -d mod t^2, the count detail by h and d1 mod 2t
     # packed in one int; `reports` says why each key determines its value
     residues, counts = {}, {}
@@ -572,7 +578,7 @@ def _cells(family: Family, n: int, t: int, ds: Iterable[int]
         if d < 1:
             _validate(ModuliQuery(family, n, d, t))
         if not t_divides_2m or (2 * d) % t:
-            yield d, None, 0, False
+            yield d, None, 0, False, False, False
             continue
         target = -d % tsq
         b = residues.get(target, 0)  # b >= 1, so 0 means not yet seen
@@ -585,11 +591,13 @@ def _cells(family: Family, n: int, t: int, ds: Iterable[int]
         if detail is None:
             detail = counts[key] = _count_detail(_decompose(m, d, t), t)
         count, _, halved = detail
-        if (count >= 1) != (w is not None):
+        ne = w is not None
+        if (count >= 1) != ne:
             raise InternalInconsistency(
                 "non_empty = %r but component count = %d at %r"
-                % (w is not None, count, ModuliQuery(family, n, d, t)))
-        yield d, w, count, halved
+                % (ne, count, ModuliQuery(family, n, d, t)))
+        yield (d, w, count, halved, ne and d * den >= bpf_num,
+               ne and d * den >= va_num)
 
 
 def report(q: ModuliQuery) -> ModuliReport:
@@ -598,10 +606,7 @@ def report(q: ModuliQuery) -> ModuliReport:
     _validate(q)
     family, n, d, t = q
     # the cell read directly, not through `reports`: one generator, not two
-    d, w, count, halved = next(_cells(family, n, t, (d,)))
-    den, bpf_num, va_num = _bounds(family, n, t)
-    ne = w is not None
-    return tuple.__new__(ModuliReport, (family, n, d, t, ne, count, w,
-                                        ne and d * den >= bpf_num,
-                                        ne and d * den >= va_num, n + 2,
-                                        count == 1, halved))
+    d, w, count, halved, bpf, va = next(_cells(family, n, t, (d,)))
+    return tuple.__new__(ModuliReport, (family, n, d, t, w is not None,
+                                        count, w, bpf, va, n + 2, count == 1,
+                                        halved))

@@ -1,4 +1,5 @@
-"""The verdicts of tools/bench_pairs.summarize on hand-made runs."""
+"""tools/bench_pairs: the verdicts of `summarize` on hand-made runs, and
+the digests `run_once` keeps and `digest_line` prints."""
 
 import importlib.util
 from pathlib import Path
@@ -93,3 +94,33 @@ def test_resolved_when_every_change_run_beats_every_parent_run(better, sign):
     level = apart[:4] + [100 + sign * 20]
     s = _summary(parent, level, better, bound=0.1)
     assert (s["wins"], s["unresolved"]) == (4, True)
+
+
+_RECORD = {"record": {"workload": "w", "digest_sha256": "d" * 64,
+                      "source_sha256": "5" * 64, "failed": 0}}
+_RESULT = {"correct": True, "attempted": 3, "failed": 0,
+           "metrics": {"m": {"value": 1.5, "unit": "u"}}}
+
+
+def test_run_once_keeps_the_output_and_source_digests(tmp_path):
+    # a stub checkout whose bench/run.py prints a fixed record and result
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json\nprint('setup line')\nprint(json.dumps(%r))\n"
+        "print(json.dumps(%r))\n" % (_RECORD, _RESULT))
+    out = bench_pairs.run_once(tmp_path, "w", 1, 0.1, 0, "parent")
+    assert out == {**_RESULT, "digest_sha256": "d" * 64,
+                   "source_sha256": "5" * 64}
+
+
+def test_digest_line_names_both_sides_sources():
+    def side(digest, source, failed):
+        return {"digest_sha256": digest * 64, "source_sha256": source * 64,
+                "failed": failed}
+
+    runs = [{"parent": side("a", "1", 0), "change": side("a", "2", 1)},
+            {"parent": side("a", "1", 0), "change": side("b", "3", 2)}]
+    assert bench_pairs.digest_line("w", runs) == (
+        "w: digests parent aaaaaaaa, change aaaaaaaa,bbbbbbbb; "
+        "sources parent 11111111, change 22222222,33333333; "
+        "failed ops parent 0, change 3")

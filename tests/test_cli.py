@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hkmoduli import cli, moduli, oracle
 from hkmoduli.lattice import Family
 from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
-                             ModuliReport, Witness, reports, thresholds)
+                             ModuliReport, Witness, report, reports,
+                             thresholds)
 
 
 def divisors(m):
@@ -216,7 +217,7 @@ def test_table_renders_no_notes(capsys, monkeypatch):
     monkeypatch.setattr(moduli, "_ratio", rendered)
     monkeypatch.setattr(moduli.ThresholdDecision, "notes", property(rendered))
     monkeypatch.setattr(moduli, "_notes_text", rendered)
-    monkeypatch.setattr(cli, "_notes_text", rendered)
+    monkeypatch.setattr(cli, "_report_notes", rendered)
     for fmt in ("csv", "human"):
         code, out, err = run(capsys, "table", "--family", "kum", "--n", "5",
                              "--d-range", "1..40", "--t", "1,2,3,4,6,12",
@@ -648,6 +649,33 @@ def test_table_json_is_json_dumps_of_the_list(capsys, family, n):
                          "--t", ",".join(map(str, ts)), "--format", "json")
     ref = [_report_ref(rep) for rep in reps]
     assert (code, out, err) == (0, json.dumps(ref, indent=2) + "\n", "")
+
+
+def _human_line(rep):
+    # the per-report rendering the human table used before it read its
+    # cells, kept as their reference: one format over the report's fields
+    yesno = ("no", "yes")
+    w = "-" if rep.witness is None else "%d,%d,%d" % rep.witness
+    return "%4d %5d %6s %5d %8s %4s %4s %4s" % (
+        rep.t, rep.d, yesno[not rep.non_empty], rep.components, w,
+        yesno[rep.bpf_some_component], yesno[rep.va_some_component],
+        yesno[rep.applies_to_all_components])
+
+
+@pytest.mark.parametrize("family, n", _GRID)
+def test_table_human_matches_per_report_reference(capsys, family, n):
+    # every t up to 16, whether or not it divides 2m, given unsorted and
+    # once twice; the rows come sorted by (t, d), each t once
+    ts = list(range(16, 0, -1)) + [2]
+    code, out, err = run(capsys, "table", "--family", family.value,
+                         "--n", str(n), "--d-range", "1..60",
+                         "--t", ",".join(map(str, ts)))
+    expected = ["family=%s n=%d" % (family.value, n),
+                "   t     d empty? comps  witness  bpf   va  all"]
+    expected += [_human_line(report(ModuliQuery(family, n, d, t)))
+                 for t in range(1, 17) for d in _D_RANGE]
+    assert (code, err) == (0, "")
+    assert out == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("surface", cli._SURFACES)

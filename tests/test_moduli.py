@@ -563,6 +563,56 @@ def test_report_internal_inconsistency_guard(monkeypatch):
         next(sweep)
 
 
+def test_report_fields_match_their_public_definitions():
+    # `report`, `reports` and the csv table read every answer field from one
+    # cell loop, so comparing them with each other compares one copy.  Here
+    # each field of both is held against the public function that defines
+    # it, cell by cell: both families, n <= 12, every t | 2m and the
+    # smallest t that does not divide 2m, d <= 120.
+    halving = ("component count used exact halving (rho = 0 case)",)
+    ds = range(1, 121)
+    seen = set()
+    for family in (K3, KUM):
+        for n in range(2, 13):
+            two_m = 2 * family.m(n)
+            ts = divisors(two_m)
+            ts.append(next(t for t in range(3, two_m + 3) if two_m % t))
+            for t in ts:
+                swept = list(reports(family, n, t, ds))
+                assert [rep.d for rep in swept] == list(ds)
+                for rep in swept:
+                    q = ModuliQuery(family, n, rep.d, t)
+                    ne = is_nonempty(q)
+                    th = thresholds(q)
+                    detail = component_count_detail(q)
+                    notes = th.notes + (halving if detail.halved else ())
+                    for r in (rep, report(q)):
+                        assert tuple(r[:4]) == q
+                        assert r.non_empty == ne, q
+                        assert r.components == component_count(q), q
+                        assert r.witness == witness(q), q
+                        assert r.bpf_some_component == (ne and th.bpf), q
+                        assert r.va_some_component == (
+                            ne and th.very_ample), q
+                        assert r.fujita_power == th.fujita_power, q
+                        assert r.applies_to_all_components == (
+                            r.components == 1), q
+                        assert r.halved == detail.halved, q
+                        assert r.threshold_notes == notes, q
+                    seen.add("non-empty" if ne else "empty")
+                    if th.bpf:
+                        seen.add("bpf" if ne else "bpf masked")
+                    if th.very_ample:
+                        seen.add("va" if ne else "va masked")
+                    if detail.halved:
+                        seen.add("halved")
+                    if rep.components > 1:
+                        seen.add("several components")
+    # the mask bites: d clears a bound on some empty cells
+    assert seen == {"empty", "non-empty", "bpf", "bpf masked", "va",
+                    "va masked", "halved", "several components"}
+
+
 @settings(max_examples=300)
 @given(families, st.integers(min_value=2, max_value=14),
        st.integers(min_value=1, max_value=200),

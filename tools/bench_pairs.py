@@ -24,8 +24,10 @@ spread of the parent's runs (the distance between their quartiles);
 the metric's bound; `unresolved` says that bound cannot be told from the
 noise: the spread of the parent's runs is wider than the bound (times the
 parent's median), and not every run of the working tree beats every run of
-the parent.  The output digests of both sides are printed too, so a
-change of output bytes shows.  `--out` receives every run and the summary as
+the parent.  The output digests and the source digests (`source_sha256` of
+bench/run.py, a hash of src/hkmoduli) of both sides are printed and kept
+in every run, so a change of output bytes shows, and so does which source
+each side ran.  `--out` receives every run and the summary as
 JSON.
 """
 
@@ -58,7 +60,7 @@ def extract(revision: str, into: Path) -> str:
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              pair: int, side: str) -> dict:
     """One untraced benchmark run in `checkout`: its result object, with the
-    run record's output digest added.  A run that exits non-zero ends the
+    run record's output digest and source digest added.  A run that exits non-zero ends the
     whole comparison with exit 1, after writing which run it was, its exit
     code and its stderr to stderr."""
     proc = subprocess.run(
@@ -72,8 +74,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
         sys.exit(1)
     *_, record, result = proc.stdout.splitlines()
     out = json.loads(result)
-    out["digest_sha256"] = json.loads(record)["record"]["digest_sha256"]
+    record = json.loads(record)["record"]
+    for key in ("digest_sha256", "source_sha256"):
+        out[key] = record[key]
     return out
+
+
+def digest_line(workload: str, runs: list[dict]) -> str:
+    """The per-workload line: each side's output digests, source digests
+    (the first 8 hex digits of each distinct one) and failed operations."""
+    def seen(side: str, key: str) -> str:
+        return ",".join(sorted({r[side][key][:8] for r in runs}))
+
+    return ("%s: digests parent %s, change %s; sources parent %s, change %s; "
+            "failed ops parent %d, change %d" % (
+                workload, seen("parent", "digest_sha256"),
+                seen("change", "digest_sha256"),
+                seen("parent", "source_sha256"),
+                seen("change", "source_sha256"),
+                sum(r["parent"]["failed"] for r in runs),
+                sum(r["change"]["failed"] for r in runs)))
 
 
 def quartiles(values: list[float]) -> dict:
@@ -141,15 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             summary = summarize(runs, metrics)
             report["workloads"][workload] = {"summary": summary,
                                              "runs": runs}
-            digests = {side: sorted({r[side]["digest_sha256"] for r in runs})
-                       for side in ("parent", "change")}
-            failed = {side: sum(r[side]["failed"] for r in runs)
-                      for side in ("parent", "change")}
-            print("%s: digests parent %s, change %s; failed ops parent %d, "
-                  "change %d" % (
-                      workload, ",".join(d[:8] for d in digests["parent"]),
-                      ",".join(d[:8] for d in digests["change"]),
-                      failed["parent"], failed["change"]))
+            print(digest_line(workload, runs))
             for name, s in summary.items():
                 print("  %-18s parent %12.6g [%.6g, %.6g]  change %12.6g "
                       "[%.6g, %.6g]  wins %d/%d  gain %s  within bound %s  "
