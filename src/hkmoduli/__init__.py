@@ -31,15 +31,18 @@ _EXPORTS = {
     "euler_phi": "arith",
     "factorize": "arith",
     "is_quadratic_residue": "arith",
-    "mod_inverse": "arith",
     "qr_of_ratio": "arith",
     "rho": "arith",
     "DimensionMismatch": "lattice",
     "GramLattice": "lattice",
     "LatticeClass": "lattice",
     "bbf_square": "lattice",
+    "direct_sum": "lattice",
     "divisibility": "lattice",
+    "e8_minus": "lattice",
     "full_model": "lattice",
+    "gram_divisibility": "lattice",
+    "hyperbolic_plane": "lattice",
     "is_primitive": "lattice",
     "rank3_model": "lattice",
     "BundleSpec": "bundles",

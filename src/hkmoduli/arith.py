@@ -5,26 +5,29 @@ residue test uses the *any square* convention: x is a residue mod m iff the
 congruence y^2 = x (mod m) has a solution, with no coprimality requirement.
 In particular 0 is a residue for every modulus and non-units may be residues
 (e.g. 4 mod 8).  This is the convention the congruence conditions in the
-component counting formulas need.
+component counting formulas need.  A ratio num/den with den a unit mod m
+is tested as the product num*den: the two differ by the unit square den^2,
+so one is a residue exactly when the other is (`qr_of_ratio`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 __all__ = [
     "NotInvertible",
     "euler_phi",
     "factorize",
     "is_quadratic_residue",
-    "mod_inverse",
     "qr_of_ratio",
     "rho",
 ]
 
 
 class NotInvertible(ValueError):
-    """Raised when an inverse mod m is requested for a non-unit."""
+    """Raised when a ratio mod m is asked for with a denominator that is
+    not a unit mod m."""
 
 
 @lru_cache(maxsize=None)
@@ -36,9 +39,10 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     square of the divisor exceeds what is left of m: about max(q, sqrt(p))
     / 2 divisions, p the largest prime factor of m and q the next one, so
     sqrt(p) / 2 for a prime m.  The moduli are not all small: _decompose
-    factorizes w and t1, and prime_power_connected factorizes t, which are
-    as large as a query asks; the ROADMAP records 145 s for
-    factorize(2^61 - 1).  Memoized: the same few moduli recur across a
+    factorizes w, _count_detail factorizes w_minus and t1 (or t1/2, in
+    case (iv)) through euler_phi and rho, and prime_power_connected
+    factorizes t, which are as large as a query asks; the ROADMAP records
+    145 s for factorize(2^61 - 1).  Memoized: the same few moduli recur across a
     sweep.
 
     >>> factorize(360)
@@ -72,19 +76,6 @@ def euler_phi(m: int) -> int:
 def rho(m: int) -> int:
     """Number of distinct prime divisors of m >= 1.  rho(1) == 0."""
     return len(factorize(m))
-
-
-def mod_inverse(x: int, m: int) -> int:
-    """Inverse of x modulo m >= 1, in range(m).  mod_inverse(x, 1) == 0.
-
-    Raises NotInvertible when gcd(x, m) != 1.
-    """
-    if m < 1:
-        raise ValueError("modulus must be positive, got %r" % (m,))
-    try:
-        return pow(x, -1, m)
-    except ValueError:
-        raise NotInvertible("%d is not invertible modulo %d" % (x, m)) from None
 
 
 def _qr_prime_power(x: int, p: int) -> bool:
@@ -135,11 +126,13 @@ def is_quadratic_residue(x: int, m: int) -> bool:
 def qr_of_ratio(num: int, den: int, m: int) -> bool:
     """Quadratic residue test for the ratio num/den modulo m.
 
-    Evaluates is_quadratic_residue(num * den^-1, m); raises NotInvertible
-    when gcd(den, m) != 1.  Callers are expected to have checked the
-    coprimality side conditions first, so NotInvertible here means a
-    programming error upstream.
+    With den a unit mod m, num/den = (num*den) / den^2 and den^2 is a unit
+    square, so num/den is a residue iff num*den is: this evaluates
+    is_quadratic_residue(num * den, m), with no inverse.  Raises
+    NotInvertible when gcd(den, m) != 1.  Callers are expected to have
+    checked the coprimality side conditions first, so NotInvertible here
+    means a programming error upstream.
     """
-    if m == 1:
-        return True
-    return is_quadratic_residue(num * mod_inverse(den, m), m)
+    if gcd(den, m) != 1:
+        raise NotInvertible("%d is not invertible modulo %d" % (den, m))
+    return is_quadratic_residue(num * den, m)

@@ -23,7 +23,9 @@ those keep argparse's messages.
 Exit codes: 0 success, 1 usage error or a reader that closed standard
 output early (nothing more is written, not even to stderr), 2 internal
 inconsistency (the closed formulas and the brute-force oracle, or two
-formulas, disagree; this is a bug report, not a user error).
+formulas, disagree; this is a bug report, not a user error).  The parser is
+a plain argparse.ArgumentParser, which exits 2 on a usage error; main maps
+that status to 1, so every exit code is decided in main.
 
 check and witness answer through one step, _answer: the report of the
 query, with its count guard, and under --oracle one call,
@@ -391,16 +393,10 @@ def _plain_args(argv: Sequence[str]) -> Optional[dict]:
 def _parser() -> argparse.ArgumentParser:
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        # usage problems must exit 1; argparse's default (2) is reserved for
-        # internal inconsistencies.
-        def error(self, message: str) -> None:  # type: ignore[override]
-            self.print_usage(sys.stderr)
-            self.exit(1, "%s: error: %s\n" % (self.prog, message))
-
-    parser = _Parser(prog=_PROG,
-                     description="Moduli of polarized hyperkaehler "
-                                 "manifolds: exact arithmetic answers.")
+    parser = argparse.ArgumentParser(
+        prog=_PROG,
+        description="Moduli of polarized hyperkaehler manifolds: exact "
+                    "arithmetic answers.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
@@ -428,9 +424,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except SystemExit as exc:
-        # argparse exits on usage errors (code 1 via _Parser) and on --help
-        # (code 0); fold both into the return-code contract.
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse exits 0 on --help and 2 on a usage error, after writing
+        # its usage and message; a usage error is 1 here, as 2 is reserved
+        # for internal inconsistencies
+        return 0 if exc.code == 0 else 1
     except InternalInconsistency as exc:
         message, code = "internal inconsistency: %s" % exc, 2
     except ValueError as exc:

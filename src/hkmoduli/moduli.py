@@ -64,9 +64,10 @@ tested in the acceptance suite):
   rho(t1/2) = 0 in case (iv)) the remaining factor w+ * phi(w-) is halved.
   That factor is provably even whenever the exponent is negative (t1 = 1
   forces w = t >= 3, and phi of anything >= 3 is even, while 2-adic parts
-  land in w+), so the division is exact; `InternalInconsistency` is raised
-  if it ever were not.  Rounding the exponent up to 0 instead would double
-  the count of, e.g., (K3HILB, n=10, d=27, t=3) from the correct 1 to 2.
+  land in w+), so the division is exact; `_count_detail`, which evaluates
+  the count, raises `InternalInconsistency` if it ever were not.  Rounding
+  the exponent up to 0 instead would double the count of, e.g., (K3HILB,
+  n=10, d=27, t=3) from the correct 1 to 2.
 
 * In case (iv) the parity condition is on t1 for both families.  Reading it
   as a parity condition on d1 for KUMMER would contradict non-emptiness on
@@ -76,8 +77,9 @@ tested in the acceptance suite):
 
 Case (iii) is vacuous as stated: g1, t1, w all odd forces t odd, hence
 g = G/t even (G is a gcd of even numbers), hence g1 even.  The code
-therefore evaluates only (i), (ii) and (iv); a grid test evaluates all four
-stated conditions and checks that (iii) never holds.
+therefore evaluates only (i), (ii) and (iv), the last two in one test (they
+differ only in the parity of t1); a grid test evaluates all four stated
+conditions and checks that (iii) never holds.
 
 Thresholds.  For t >= 2 let tau = t^2 / (2*(t-1)), an exact rational.  On
 some connected component of a non-empty moduli space the polarization is
@@ -176,13 +178,14 @@ class Witness(NamedTuple):
     e: int
 
 
-def _validate(q: ModuliQuery) -> None:
-    if q.n < 2:
-        raise ValueError("n must be >= 2, got %r" % (q.n,))
+def _validate(q: ModuliQuery) -> int:
+    # m of the query, once d and t are checked too; `Family.m` refuses n < 2
+    m = q.family.m(q.n)
     if q.d < 1:
         raise ValueError("d must be >= 1, got %r" % (q.d,))
     if q.t < 1:
         raise ValueError("t must be >= 1, got %r" % (q.t,))
+    return m
 
 
 class Decomposition(NamedTuple):
@@ -276,8 +279,7 @@ def decompose(q: ModuliQuery) -> Decomposition:
 
     Raises DivisibilityViolation when t does not divide gcd(2d, 2m).
     """
-    _validate(q)
-    return _decompose(q.family.m(q.n), q.d, q.t)
+    return _decompose(_validate(q), q.d, q.t)
 
 
 def _decompose(m: int, d: int, t: int) -> Decomposition:
@@ -299,33 +301,19 @@ def _decompose(m: int, d: int, t: int) -> Decomposition:
 
 def _matched_case(dec: Decomposition) -> Optional[str]:
     # The case that holds, or None.  At most one can: (i) needs g1 even, the
-    # others g1 odd; (ii) needs t1 odd, (iv) t1 even.  Case (iii) never holds
-    # (module docstring).  Parity and gcd conditions are evaluated before the
-    # quadratic residue tests, whose invertibility preconditions they secure.
+    # others g1 odd.  Case (iii) never holds (module docstring).  (ii) and
+    # (iv) differ only in the parity of t1: (ii) asks for d1 odd, which (iv)
+    # forces through gcd(d1, t1) = 1 with t1 even.  Parity and gcd
+    # conditions are evaluated before the quadratic residue tests, whose
+    # invertibility preconditions they secure.
     d1, n1, g1, t1 = dec.d1, dec.n1, dec.g1, dec.t1
     if (g1 % 2 == 0 and gcd(d1, t1) == 1 and gcd(n1, t1) == 1
             and qr_of_ratio(-d1, n1, t1)):
         return "i"
-    if (g1 % 2 and t1 % 2 and d1 % 2 and gcd(d1, t1) == 1
-            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
-        return "ii"
-    if (g1 % 2 and t1 % 2 == 0 and gcd(d1, t1) == 1
-            and gcd(n1, 2 * t1) == 1 and qr_of_ratio(-d1, n1, 2 * t1)):
-        return "iv"
+    if (g1 % 2 and d1 % 2 and gcd(d1, t1) == 1 and gcd(n1, 2 * t1) == 1
+            and qr_of_ratio(-d1, n1, 2 * t1)):
+        return "ii" if t1 % 2 else "iv"
     return None
-
-
-def _two_power_value(base: int, exponent: int,
-                     where: object) -> tuple[int, bool]:
-    # base * 2^exponent with exact division when exponent = -1 (the only
-    # negative value rho can produce).  See the module docstring.  `where`
-    # only names the failing input in the error.
-    if exponent >= 0:
-        return base << exponent, False
-    if base % 2:
-        raise InternalInconsistency(
-            "odd branch value %d cannot be halved at %r" % (base, where))
-    return base // 2, True
 
 
 def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
@@ -348,8 +336,13 @@ def _count_detail(dec: Decomposition,
         return 1, branch, False
     base = dec.w_plus * euler_phi(dec.w_minus)
     r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
-    count, halved = _two_power_value(base, r - 1, (t, dec))
-    return count, branch, halved
+    if r:
+        return base << (r - 1), branch, False
+    # r = 0: base * 2^-1, an exact halving (module docstring)
+    if base % 2:
+        raise InternalInconsistency(
+            "odd branch value %d cannot be halved at %r" % (base, (t, dec)))
+    return base // 2, branch, True
 
 
 def component_count(q: ModuliQuery) -> int:
@@ -367,8 +360,7 @@ def nonempty_residue(q: ModuliQuery) -> Optional[int]:
     gives 2d = -b^2*(2m) = 0 (mod t), so the scan is skipped when t does
     not divide 2d.
     """
-    _validate(q)
-    return _residue(q.family.m(q.n), q.d, q.t)
+    return _residue(_validate(q), q.d, q.t)
 
 
 def _residue(m: int, d: int, t: int) -> Optional[int]:
@@ -396,8 +388,7 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
     re-verified through the class check (module docstring), not assumed
     from the construction.
     """
-    _validate(q)
-    m = q.family.m(q.n)
+    m = _validate(q)
     b = _residue(m, q.d, q.t)
     return None if b is None else _witness(q.family, q.n, m, q.d, q.t, b)
 
@@ -499,7 +490,7 @@ def prime_power_connected(q: ModuliQuery) -> bool:
     for t a higher power of 2: no claim is made there, even though t = 1
     spaces are in fact connected whenever non-empty).
     """
-    _validate(q)
+    m = _validate(q)
     if q.t == 2:
         return True
     fac = factorize(q.t)
@@ -508,7 +499,6 @@ def prime_power_connected(q: ModuliQuery) -> bool:
     p, a = fac[0]
     if p == 2:
         return False
-    m = q.family.m(q.n)
     return gcd(2 * q.d, 2 * m) % p ** (a + 1) != 0
 
 

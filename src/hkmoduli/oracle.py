@@ -87,8 +87,7 @@ def default_bounds(q: ModuliQuery) -> SearchBounds:
     """Bounds guaranteed to contain a witness whenever one exists at all,
     and one of every class that `class_count` counts (module docstring).
     ValueError for n < 2, d < 1 or t < 1."""
-    _validate(q)
-    return _default_bounds(q.d, q.t, q.family.m(q.n))
+    return _default_bounds(q.d, q.t, _validate(q))
 
 
 def _default_bounds(d: int, t: int, m: int) -> SearchBounds:

@@ -8,7 +8,7 @@ counterexamples instead of just dying.
 
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from pathlib import Path
 
 from hkmoduli.arith import is_quadratic_residue
@@ -20,11 +20,7 @@ from hkmoduli.moduli import ModuliQuery, _is_class, component_count, \
     is_nonempty, prime_power_connected, report, thresholds, witness
 from hkmoduli.oracle import class_count, enumerate_witnesses, verify_witness
 
-
-def divisors(m):
-    # the positive divisors of m, increasing
-    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
-    return low + [m // k for k in reversed(low) if k * k != m]
+from divisors import divisors
 
 
 K3 = Family.K3HILB

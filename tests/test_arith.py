@@ -11,7 +11,6 @@ from hkmoduli.arith import (
     euler_phi,
     factorize,
     is_quadratic_residue,
-    mod_inverse,
     qr_of_ratio,
     rho,
 )
@@ -81,37 +80,6 @@ def test_rho():
     assert rho(2 ** 20) == 1
 
 
-# -------------------------------------------------------------- mod_inverse
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 1) == 0
-    assert mod_inverse(5, 1) == 0
-    assert mod_inverse(-1, 5) == 4
-
-
-def test_mod_inverse_not_invertible():
-    with pytest.raises(NotInvertible):
-        mod_inverse(2, 4)
-    with pytest.raises(NotInvertible):
-        mod_inverse(0, 5)
-    with pytest.raises(ValueError):
-        mod_inverse(1, 0)
-
-
-@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
-       st.integers(min_value=1, max_value=10 ** 4))
-def test_mod_inverse_roundtrip(x, m):
-    try:
-        inv = mod_inverse(x, m)
-    except NotInvertible:
-        assert math.gcd(x, m) != 1
-        return
-    assert math.gcd(x, m) == 1
-    assert 0 <= inv < m
-    assert (x * inv) % m == (1 % m)
-
-
 # --------------------------------------------------------- quadratic residues
 
 def test_qr_pinned_examples():
@@ -162,6 +130,10 @@ def test_qr_of_ratio():
     assert qr_of_ratio(7, 5, 1) is True
     with pytest.raises(NotInvertible):
         qr_of_ratio(1, 2, 4)
+    with pytest.raises(NotInvertible):
+        qr_of_ratio(3, 0, 5)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        qr_of_ratio(1, 1, 0)
 
 
 @settings(max_examples=300)
@@ -169,7 +141,11 @@ def test_qr_of_ratio():
        st.integers(min_value=1, max_value=300),
        st.integers(min_value=1, max_value=120))
 def test_qr_of_ratio_matches_solvability(num, den, m):
-    # num/den is a residue iff num * den is (multiply through by den^2)
+    # num/den is a residue iff y^2 = num/den, i.e. y^2 * den = num, is
+    # solvable mod m: searched over every y, with no inverse and no product
     if math.gcd(den, m) != 1:
+        with pytest.raises(NotInvertible):
+            qr_of_ratio(num, den, m)
         return
-    assert qr_of_ratio(num, den, m) == is_quadratic_residue(num * den, m)
+    solvable = any((y * y * den - num) % m == 0 for y in range(m))
+    assert qr_of_ratio(num, den, m) == solvable

@@ -17,16 +17,11 @@ import hashlib
 import io
 import sys
 import time
-from math import isqrt
 
 from hkmoduli import cli
 from hkmoduli.moduli import Family
 
-
-def divisors(m):
-    # the positive divisors of m, increasing
-    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
-    return low + [m // k for k in reversed(low) if k * k != m]
+from divisors import divisors
 
 
 def _ts(family, n):

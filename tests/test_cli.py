@@ -3,7 +3,6 @@ import io
 import json
 import sys
 import time
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +14,7 @@ from hkmoduli.moduli import (InternalInconsistency, ModuliQuery,
                              ModuliReport, Witness, report, reports,
                              thresholds)
 
-
-def divisors(m):
-    # the positive divisors of m, increasing
-    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
-    return low + [m // k for k in reversed(low) if k * k != m]
+from divisors import divisors
 
 
 def run(capsys, *argv):
@@ -422,7 +417,8 @@ def _reference_main(argv):
         args.func(args)
         return 0
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
+        # argparse: 0 on --help, 2 on a usage error, which exits 1
+        return 0 if exc.code == 0 else 1
     except InternalInconsistency as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 2
@@ -541,18 +537,20 @@ def test_plain_reader_matches_the_parser(argv):
 
 
 def test_check_validates_the_query_once(capsys, monkeypatch):
+    # check and witness both answer through cli._answer
     calls = []
     validate = moduli._validate
 
     def counted(q):
         calls.append(q)
-        validate(q)
+        return validate(q)
 
     monkeypatch.setattr(moduli, "_validate", counted)
-    for fmt in ("json", "human"):
-        calls.clear()
-        assert run(capsys, "check", *QUERY, "--format", fmt)[0] == 0
-        assert len(calls) == 1, fmt
+    for command in ("check", "witness"):
+        for fmt in ("json", "human"):
+            calls.clear()
+            assert run(capsys, command, *QUERY, "--format", fmt)[0] == 0
+            assert len(calls) == 1, (command, fmt)
 
 
 # ------------------------------------------------------------ output bytes

@@ -2,7 +2,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +30,7 @@ from hkmoduli.moduli import (
 )
 from hkmoduli.oracle import verify_witness
 
-
-def divisors(m):
-    # the positive divisors of m, increasing
-    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
-    return low + [m // k for k in reversed(low) if k * k != m]
+from divisors import divisors
 
 
 K3 = Family.K3HILB
@@ -118,13 +114,25 @@ def test_t1_spaces_are_connected():
                 assert component_count(q) == 1
 
 
+def _case_i(w_plus, w_minus, t1):
+    # a hand-built decomposition in case (i): g1 = 2, d1 = n1 = 1, so the
+    # case holds iff -1 is a square mod t1; big_gcd and g are unused
+    w = w_plus * w_minus
+    return Decomposition(big_gcd=0, d1=1, n1=1, g=0, w=w, g1=2, t1=t1,
+                         w_plus=w_plus, w_minus=w_minus)
+
+
 def test_halving_never_hits_odd_base():
-    # direct check of the guard; the public path cannot reach it
-    with pytest.raises(InternalInconsistency):
-        moduli._two_power_value(3, -1, ModuliQuery(K3, 2, 1, 1))
-    assert moduli._two_power_value(6, -1, ModuliQuery(K3, 2, 1, 1)) == (3, True)
-    assert moduli._two_power_value(5, 0, ModuliQuery(K3, 2, 1, 1)) == (5, False)
-    assert moduli._two_power_value(5, 2, ModuliQuery(K3, 2, 1, 1)) == (20, False)
+    # direct check of the guard; the public path cannot reach it.  At
+    # t1 = 1, rho = 0 and the base w_plus * phi(w_minus) is halved
+    for w_plus, w_minus in ((1, 1), (1, 2), (3, 1)):  # odd bases 1, 1, 3
+        with pytest.raises(InternalInconsistency, match="cannot be halved"):
+            moduli._count_detail(_case_i(w_plus, w_minus, 1), 3)
+    assert moduli._count_detail(_case_i(1, 3, 1), 3) == (1, "i", True)
+    assert moduli._count_detail(_case_i(1, 7, 1), 7) == (3, "i", True)
+    # rho(5) = 1 and rho(65) = 2: base * 2^(rho - 1), not halved
+    assert moduli._count_detail(_case_i(1, 1, 5), 5) == (1, "i", False)
+    assert moduli._count_detail(_case_i(1, 1, 65), 65) == (2, "i", False)
 
 
 # ------------------------------------------------------------ non-emptiness
@@ -716,7 +724,7 @@ def test_sweep_validates_once(monkeypatch):
 
     def counted(q):
         calls.append(q)
-        original(q)
+        return original(q)
 
     monkeypatch.setattr(moduli, "_validate", counted)
     assert len(list(reports(K3, 10, 3, range(1, 200)))) == 199

@@ -1,5 +1,5 @@
 import time
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,11 +19,7 @@ from hkmoduli.oracle import (
     verify_witness,
 )
 
-
-def divisors(m):
-    # the positive divisors of m, increasing
-    low = [k for k in range(1, isqrt(m) + 1) if m % k == 0]
-    return low + [m // k for k in reversed(low) if k * k != m]
+from divisors import divisors
 
 
 K3 = Family.K3HILB

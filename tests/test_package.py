@@ -93,6 +93,17 @@ def test_every_exported_name_is_its_submodule_object():
         assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
+def test_exports_are_exactly_the_submodule_exports():
+    # a name added to (or deleted from) a submodule's __all__ but not
+    # _EXPORTS, or the other way round, fails here
+    expected = {}
+    for sub in ("arith", "bundles", "lattice", "moduli", "oracle"):
+        for name in importlib.import_module("hkmoduli." + sub).__all__:
+            assert name not in expected, (sub, name)
+            expected[name] = sub
+    assert hkmoduli._EXPORTS == expected
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from hkmoduli import *", namespace)
