@@ -38,11 +38,13 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
     Plain trial division by 2 and the odd numbers, which stops once the
     square of the divisor exceeds what is left of m: about max(q, sqrt(p))
     / 2 divisions, p the largest prime factor of m and q the next one, so
-    sqrt(p) / 2 for a prime m.  The moduli are not all small: _decompose
-    factorizes w, _count_detail factorizes w_minus and t1 (or t1/2, in
-    case (iv)) through euler_phi and rho, and prime_power_connected
-    factorizes t, which are as large as a query asks; the ROADMAP records
-    145 s for factorize(2^61 - 1).  Memoized: the same few moduli recur across a
+    sqrt(p) / 2 for a prime m.  The moduli are not all small: the h layer
+    of the count (`moduli._h_layer`) factorizes w, and w_minus and t1 (or
+    t1/2, in case (iv)) through euler_phi and rho; the residue test of its
+    d1 layer (`moduli._d1_count`) factorizes t1 or 2*t1 through
+    is_quadratic_residue; and prime_power_connected factorizes t.  All are
+    as large as a query asks; the ROADMAP records 145 s for
+    factorize(2^61 - 1).  Memoized: the same few moduli recur across a
     sweep.
 
     >>> factorize(360)

@@ -29,7 +29,15 @@ Both conditions on b depend only on b mod t.  Since t | 2m,
 
 and gcd(b + t, t) = gcd(b, t).  Every valid b therefore has a valid
 representative in [1, t], so the smallest valid b in [1, t^2] already lies
-in [1, t] and a scan of [1, t] decides non-emptiness in O(t) steps.
+in [1, t] and a scan of [1, t] decides non-emptiness in O(t) steps.  Half
+the scan is enough: likewise
+
+    (t - b)^2 * m = t^2*m - t*(2*b*m) + b^2*m = b^2*m  (mod t^2),
+
+and gcd(t - b, t) = gcd(b, t), so for t >= 2 the valid b of [1, t - 1]
+come in pairs {b, t - b} (b = t is a unit only at t = 1) and the smallest
+is at most t/2.  The scan of [1, t // 2 + 1] finds the same smallest b as
+the scan of [1, t], and stops sooner where there is none.
 
 Component count.  With G = gcd(2d, 2m), t | G, set
 
@@ -64,8 +72,8 @@ tested in the acceptance suite):
   rho(t1/2) = 0 in case (iv)) the remaining factor w+ * phi(w-) is halved.
   That factor is provably even whenever the exponent is negative (t1 = 1
   forces w = t >= 3, and phi of anything >= 3 is even, while 2-adic parts
-  land in w+), so the division is exact; `_count_detail`, which evaluates
-  the count, raises `InternalInconsistency` if it ever were not.  Rounding
+  land in w+), so the division is exact; `_h_layer`, which evaluates the
+  value, raises `InternalInconsistency` if it ever were not.  Rounding
   the exponent up to 0 instead would double the count of, e.g., (K3HILB,
   n=10, d=27, t=3) from the correct 1 to 2.
 
@@ -102,7 +110,7 @@ from enum import Enum
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
-from .arith import euler_phi, factorize, qr_of_ratio, rho
+from .arith import euler_phi, factorize, is_quadratic_residue, rho
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -279,70 +287,73 @@ def decompose(q: ModuliQuery) -> Decomposition:
 
     Raises DivisibilityViolation when t does not divide gcd(2d, 2m).
     """
-    return _decompose(_validate(q), q.d, q.t)
+    return _split(q)[1]
 
 
-def _decompose(m: int, d: int, t: int) -> Decomposition:
-    big = gcd(2 * d, 2 * m)
-    if big % t:
+def _split(q: ModuliQuery) -> tuple[tuple, Decomposition]:
+    # the h layer of the query and its decomposition, d1 = d/h added
+    m = _validate(q)
+    h = gcd(q.d, m)
+    if 2 * h % q.t:
         raise DivisibilityViolation(
-            "t = %d does not divide gcd(2d, 2m) = %d" % (t, big))
-    g = big // t
+            "t = %d does not divide gcd(2d, 2m) = %d" % (q.t, 2 * h))
+    layer = _h_layer(m, q.t, h)
+    return layer, Decomposition(layer[0], q.d // h, *layer[1:8])
+
+
+def _h_layer(m: int, t: int, h: int) -> tuple:
+    # The half of the count that reads d only through h = gcd(d, m), for
+    # t | 2h: (big_gcd, n1, g, w, g1, t1, w_plus, w_minus), the residue
+    # modulus M, then (count, branch, halved) of the one case that can hold,
+    # or (0, None, False) when none can.  At most one can: (i) needs g1
+    # even, the others g1 odd.  Case (iii) never holds (module docstring).
+    # (ii) and (iv) differ only in the parity of t1, and both test mod
+    # 2*t1.  The gate gcd(n1, M) = 1 is the invertibility of n1 that the
+    # residue test of -d1/n1 mod M needs.
+    g = 2 * h // t
     w = gcd(g, t)
-    t1 = t // w
+    g1, t1 = g // w, t // w
     w_plus = 1
     for p, k in factorize(w):
         if t1 % p == 0:
             w_plus *= p ** k
-    # tuple.__new__: the generated __new__ costs more than twice as much
-    return tuple.__new__(Decomposition, (big, 2 * d // big, 2 * m // big, g,
-                                         w, g // w, t1, w_plus, w // w_plus))
+    branch = "i" if g1 % 2 == 0 else "ii" if t1 % 2 else "iv"
+    modulus = t1 if branch == "i" else 2 * t1
+    fields = (2 * h, m // h, g, w, g1, t1, w_plus, w // w_plus, modulus)
+    if gcd(m // h, modulus) != 1:
+        return fields + (0, None, False)
+    if t <= 2:
+        return fields + (1, branch, False)
+    base = w_plus * euler_phi(w // w_plus)
+    r = rho(t1 // 2) if branch == "iv" else rho(t1)
+    if r:
+        return fields + (base << (r - 1), branch, False)
+    # r = 0: base * 2^-1, an exact halving (module docstring)
+    if base % 2:
+        raise InternalInconsistency(
+            "odd branch value %d cannot be halved at %r" % (base, (t, fields)))
+    return fields + (base // 2, branch, True)
 
 
-def _matched_case(dec: Decomposition) -> Optional[str]:
-    # The case that holds, or None.  At most one can: (i) needs g1 even, the
-    # others g1 odd.  Case (iii) never holds (module docstring).  (ii) and
-    # (iv) differ only in the parity of t1: (ii) asks for d1 odd, which (iv)
-    # forces through gcd(d1, t1) = 1 with t1 even.  Parity and gcd
-    # conditions are evaluated before the quadratic residue tests, whose
-    # invertibility preconditions they secure.
-    d1, n1, g1, t1 = dec.d1, dec.n1, dec.g1, dec.t1
-    if (g1 % 2 == 0 and gcd(d1, t1) == 1 and gcd(n1, t1) == 1
-            and qr_of_ratio(-d1, n1, t1)):
-        return "i"
-    if (g1 % 2 and d1 % 2 and gcd(d1, t1) == 1 and gcd(n1, 2 * t1) == 1
-            and qr_of_ratio(-d1, n1, 2 * t1)):
-        return "ii" if t1 % 2 else "iv"
-    return None
+def _d1_count(layer: tuple, d1: int) -> tuple[int, Optional[str], bool]:
+    # (count, branch, halved) of the cell d1 = d/h on its h layer: the tests
+    # of the case the layer allows that read d1, the residue test last.
+    # (ii) asks for d1 odd, which (iv) forces through gcd(d1, t1) = 1 with
+    # t1 even.
+    _, n1, _, _, g1, t1, _, _, modulus, count, branch, _ = layer
+    if (branch and gcd(d1, t1) == 1 and (g1 % 2 == 0 or d1 % 2)
+            and is_quadratic_residue(-d1 * n1, modulus)):
+        return layer[9:]
+    return 0, None, False
 
 
 def component_count_detail(q: ModuliQuery) -> ComponentCountDetail:
     """Component count plus which case fired and whether halving was used."""
     try:
-        dec = decompose(q)
+        layer, dec = _split(q)
     except DivisibilityViolation:
         return ComponentCountDetail(0, None, False, None)
-    count, branch, halved = _count_detail(dec, q.t)
-    return ComponentCountDetail(count, branch, halved, dec)
-
-
-def _count_detail(dec: Decomposition,
-                  t: int) -> tuple[int, Optional[str], bool]:
-    # (count, branch, halved) of the decomposition at divisibility t
-    branch = _matched_case(dec)
-    if branch is None:
-        return 0, None, False
-    if t <= 2:
-        return 1, branch, False
-    base = dec.w_plus * euler_phi(dec.w_minus)
-    r = rho(dec.t1 // 2) if branch == "iv" else rho(dec.t1)
-    if r:
-        return base << (r - 1), branch, False
-    # r = 0: base * 2^-1, an exact halving (module docstring)
-    if base % 2:
-        raise InternalInconsistency(
-            "odd branch value %d cannot be halved at %r" % (base, (t, dec)))
-    return base // 2, branch, True
+    return ComponentCountDetail(*_d1_count(layer, dec.d1), dec)
 
 
 def component_count(q: ModuliQuery) -> int:
@@ -354,11 +365,11 @@ def nonempty_residue(q: ModuliQuery) -> Optional[int]:
     """Smallest b >= 1 with gcd(b, t) = 1 and d = -b^2*m (mod t^2), or None
     when the space is empty (including when t does not divide 2m).
 
-    Once t | 2m both conditions depend only on b mod t (see the module
-    docstring), so the smallest valid b lies in [1, t] and only that range
-    is scanned.  No b exists unless t also divides 2d: d = -b^2*m (mod t^2)
-    gives 2d = -b^2*(2m) = 0 (mod t), so the scan is skipped when t does
-    not divide 2d.
+    Once t | 2m both conditions depend only on b mod t, and b is valid
+    exactly when t - b is (see the module docstring), so the smallest valid
+    b lies in [1, t // 2 + 1] and only that range is scanned.  No b exists
+    unless t also divides 2d: d = -b^2*m (mod t^2) gives 2d = -b^2*(2m) = 0
+    (mod t), so the scan is skipped when t does not divide 2d.
     """
     return _residue(_validate(q), q.d, q.t)
 
@@ -368,7 +379,7 @@ def _residue(m: int, d: int, t: int) -> Optional[int]:
         return None
     tsq = t * t
     target = (-d) % tsq
-    for b in range(1, t + 1):
+    for b in range(1, t // 2 + 2):
         # the congruence first: it rarely holds, and the unit test is a gcd
         if (b * b * m) % tsq == target and gcd(b, t) == 1:
             return b
@@ -396,7 +407,8 @@ def witness(q: ModuliQuery) -> Optional[Witness]:
 def _witness(family: Family, n: int, m: int, d: int, t: int,
              b: int) -> Witness:
     # the class (t, b, e) for the residue b, re-verified through
-    # `_is_class`; tuple.__new__ as in `_decompose`
+    # `_is_class`; tuple.__new__: the generated __new__ costs more than
+    # twice as much
     e = (d + b * b * m) // (t * t)
     w = tuple.__new__(Witness, (t, b, e))
     if not _is_class(t, b, e, m, d, t):
@@ -530,11 +542,17 @@ def reports(family: Family, n: int, t: int,
     Within one sweep the residue and the count are each computed once per
     class of d they read; the witness and the cross-check still run on
     every cell.  Once t divides 2m and 2d, the scan for b reads d only
-    through its target -d mod t^2.  The count reads d only through
-    h = gcd(d, m) and d1 mod 2t, where gcd(2d, 2m) = 2h and d1 = d/h: every
-    other field of the decomposition is a function of m, t and 2h, and the
-    cases read d1 only through gcd(d1, t1), d1 mod 2 and quadratic residue
-    tests mod t1 or 2*t1, each a divisor of 2t.
+    through its target -d mod t^2.  The count is computed in two layers.
+    The h layer reads d only through h = gcd(d, m), where gcd(2d, 2m) = 2h:
+    every field of the decomposition but d1 = d/h, which case can hold
+    (the parity of g1 and the gate gcd(n1, t1) = 1 resp. gcd(n1, 2*t1) = 1),
+    the residue modulus M = t1 resp. 2*t1, and the case's value with its
+    exact halving.  It is built once per distinct h.  The d1 layer runs
+    the tests that read d1: gcd(d1, t1) = 1, d1 odd where cases (ii) and
+    (iv) ask for it, and whether -d1*n1 is a square mod M (the residue
+    test of -d1/n1, n1 being a unit mod M).  t1 and M divide 2t, so these
+    read d1 only through d1 mod 2t, and the d1 layer runs once per pair
+    (h, d1 mod 2t).
     """
     _validate(ModuliQuery(family, n, 1, t))
     return _reports(family, n, t, ds)
@@ -561,9 +579,10 @@ def _cells(family: Family, n: int, t: int, ds: Iterable[int]
     t_divides_2m = (2 * m) % t == 0
     tsq, two_t = t * t, 2 * t
     den, bpf_num, va_num = _bounds(family, n, t)
-    # b (None when empty) by -d mod t^2, the count detail by h and d1 mod 2t
-    # packed in one int; `reports` says why each key determines its value
-    residues, counts = {}, {}
+    # b (None when empty) by -d mod t^2, the h layer by h, the count detail
+    # by h and d1 mod 2t packed in one int; `reports` says why each key
+    # determines its value
+    residues, layers, counts = {}, {}, {}
     for d in ds:
         if d < 1:
             _validate(ModuliQuery(family, n, d, t))
@@ -579,7 +598,9 @@ def _cells(family: Family, n: int, t: int, ds: Iterable[int]
         key = h * two_t + d // h % two_t
         detail = counts.get(key)
         if detail is None:
-            detail = counts[key] = _count_detail(_decompose(m, d, t), t)
+            if h not in layers:
+                layers[h] = _h_layer(m, t, h)
+            detail = counts[key] = _d1_count(layers[h], d // h)
         count, _, halved = detail
         ne = w is not None
         if (count >= 1) != ne:

@@ -1,5 +1,6 @@
-"""tools/bench_pairs: the verdicts of `summarize` on hand-made runs, and
-the digests `run_once` keeps and `digest_line` prints."""
+"""tools/bench_pairs: the verdicts of `summarize` on hand-made runs, the
+digests `run_once` keeps and `digest_line` prints, and the `--trajectory`
+chains of hand-written records."""
 
 import importlib.util
 from pathlib import Path
@@ -124,3 +125,84 @@ def test_digest_line_names_both_sides_sources():
         "w: digests parent aaaaaaaa, change aaaaaaaa,bbbbbbbb; "
         "sources parent 11111111, change 22222222,33333333; "
         "failed ops parent 0, change 3")
+
+
+_METRICS = [{"name": "m", "unit": "u", "better": "higher", "bound": 0.25}]
+
+
+def _record(ratio, gain, parent_source=None, change_source=None):
+    # a BENCH record of one workload "w" and one metric "m": parent median
+    # 10, change median 10 * ratio, and one run with the given digests
+    def side(source):
+        return {} if source is None else {"source_sha256": source * 64}
+
+    return {"workloads": {"w": {
+        "summary": {"m": {"parent": {"median": 10.0},
+                          "change": {"median": 10.0 * ratio},
+                          "gain": gain}},
+        "runs": [{"parent": side(parent_source),
+                  "change": side(change_source)}]}}}
+
+
+def _chain(*records):
+    named = [("BENCH_%d" % (i + 1), r) for i, r in enumerate(records)]
+    return bench_pairs.chains(named), bench_pairs.trajectory_lines(
+        named, _METRICS)
+
+
+def test_trajectory_multiplies_an_unbroken_chain():
+    # 1 -> 2 -> 3 -> 4: every link checked, one chain of three records;
+    # a record without digests leaves its links unchecked, not broken
+    chains, lines = _chain(_record(2.0, True, "1", "2"),
+                           _record(1.5, True, "2", "3"),
+                           _record(0.5, True, "3", "4"),
+                           _record(4.0, True))
+    assert [[name for name, _ in chain] for chain in chains] == [
+        ["BENCH_1", "BENCH_2", "BENCH_3", "BENCH_4"]]
+    assert lines == [
+        "BENCH_1 .. BENCH_4: 4 records (1 of 3 links unchecked: no source "
+        "digests), change/parent medians chained",
+        "  w        m                  all x6.00 (4)  resolved x6.00 (4)"]
+
+
+def test_trajectory_names_a_break_and_does_not_bridge_it():
+    # BENCH_2's parent ran source 9, not the 2 that BENCH_1's change ran
+    chains, lines = _chain(_record(2.0, True, "1", "2"),
+                           _record(1.5, True, "9", "3"),
+                           _record(3.0, True, "3", "4"))
+    assert [len(chain) for chain in chains] == [1, 2]
+    assert lines == [
+        "BENCH_1 .. BENCH_1: 1 records (0 of 0 links unchecked: no source "
+        "digests), change/parent medians chained",
+        "  w        m                  all x2.00 (1)  resolved x2.00 (1)",
+        "break before BENCH_2: parent sources 99999999, previous change "
+        "sources 22222222",
+        "BENCH_2 .. BENCH_3: 2 records (0 of 1 links unchecked: no source "
+        "digests), change/parent medians chained",
+        "  w        m                  all x4.50 (2)  resolved x4.50 (2)"]
+
+
+def test_trajectory_resolved_chain_skips_unresolved_records():
+    # the unresolved x1.1 (say 5/10 wins) enters the all-medians chain
+    # only; the resolved chain multiplies the two gains
+    chains, lines = _chain(_record(1.25, True, "1", "2"),
+                           _record(1.1, False, "2", "3"),
+                           _record(1.2, True, "3", "4"))
+    row = bench_pairs.chained([r for _, r in chains[0]], _METRICS)["w"]["m"]
+    assert row["all"] == [pytest.approx(1.25 * 1.1 * 1.2), 3]
+    assert row["resolved"] == [pytest.approx(1.5), 2]
+    assert lines[1] == ("  w        m                  all x1.65 (3)  "
+                        "resolved x1.50 (2)")
+
+
+def test_trajectory_reproduces_the_recorded_throughput_chain(capsys):
+    # the committed records BENCH_21-BENCH_30: the chained throughput
+    # ratios that the ROADMAP Baseline worked out by hand
+    root = _PATH.parent.parent
+    paths = [str(root / ("BENCH_%d.json" % i)) for i in range(21, 31)]
+    assert bench_pairs.main(["--trajectory", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("BENCH_21 .. BENCH_30: 10 records")
+    assert [line.split()[3] for line in lines
+            if "throughput_ops_s" in line] == ["x1.96", "x1.02", "x1.49",
+                                               "x1.28"]

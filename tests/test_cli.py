@@ -238,8 +238,8 @@ def test_table_input_error_prints_nothing(capsys):
 def test_table_csv_internal_inconsistency_exits_2(capsys, monkeypatch):
     # the count guard runs on the CSV path too: with every count forced to
     # 0, the first non-empty cell (d = 3) stops the sweep with exit 2
-    monkeypatch.setattr(moduli, "_count_detail",
-                        lambda dec, t: (0, None, False))
+    monkeypatch.setattr(moduli, "_d1_count",
+                        lambda layer, d1: (0, None, False))
     code, out, err = run(capsys, "table", "--family", "k3n", "--n", "2",
                          "--d-range", "1..9", "--t", "2", "--format", "csv")
     assert code == 2
@@ -251,8 +251,8 @@ def test_table_csv_internal_inconsistency_exits_2(capsys, monkeypatch):
 def test_witness_internal_inconsistency_exits_2(capsys, monkeypatch):
     # `witness` answers through `report`, so the count guard stops it too:
     # with every count forced to 0, the non-empty (k3n, 2, 3, 2) exits 2
-    monkeypatch.setattr(moduli, "_count_detail",
-                        lambda dec, t: (0, None, False))
+    monkeypatch.setattr(moduli, "_d1_count",
+                        lambda layer, d1: (0, None, False))
     for fmt in ("human", "json"):
         code, out, err = run(capsys, "witness", "--family", "k3n", "--n",
                              "2", "--d", "3", "--t", "2", "--format", fmt)
@@ -769,13 +769,13 @@ def test_oracle_checks_an_empty_answer_has_no_hit(capsys, monkeypatch):
 def test_oracle_checks_the_component_count_by_value(capsys, monkeypatch):
     # A count one too high on a non-empty cell keeps the sign guard of
     # `report` quiet; only the oracle's class count sees it.
-    count_detail = moduli._count_detail
+    d1_count = moduli._d1_count
 
-    def one_too_many(dec, t):
-        count, branch, halved = count_detail(dec, t)
+    def one_too_many(layer, d1):
+        count, branch, halved = d1_count(layer, d1)
         return count + (count > 0), branch, halved
 
-    monkeypatch.setattr(moduli, "_count_detail", one_too_many)
+    monkeypatch.setattr(moduli, "_d1_count", one_too_many)
     query = ["--family", "k3n", "--n", "17", "--d", "48", "--t", "8"]
     code, out, _ = run(capsys, "check", *query, "--format", "json")
     assert code == 0 and json.loads(out)["components"] == 3
@@ -1097,7 +1097,7 @@ def test_closed_stderr_returns_the_exit_code(argv, code):
 
     child = ("import sys\n"
              "from hkmoduli import cli, moduli\n"
-             "moduli._count_detail = lambda dec, t: (0, None, False)\n"
+             "moduli._d1_count = lambda layer, d1: (0, None, False)\n"
              "print(cli.main(sys.argv[1:]))\n")
     read, write = os.pipe()
     os.close(read)

@@ -114,25 +114,72 @@ def test_t1_spaces_are_connected():
                 assert component_count(q) == 1
 
 
-def _case_i(w_plus, w_minus, t1):
-    # a hand-built decomposition in case (i): g1 = 2, d1 = n1 = 1, so the
-    # case holds iff -1 is a square mod t1; big_gcd and g are unused
-    w = w_plus * w_minus
-    return Decomposition(big_gcd=0, d1=1, n1=1, g=0, w=w, g1=2, t1=t1,
-                         w_plus=w_plus, w_minus=w_minus)
-
-
-def test_halving_never_hits_odd_base():
-    # direct check of the guard; the public path cannot reach it.  At
-    # t1 = 1, rho = 0 and the base w_plus * phi(w_minus) is halved
-    for w_plus, w_minus in ((1, 1), (1, 2), (3, 1)):  # odd bases 1, 1, 3
+def test_halving_never_hits_odd_base(monkeypatch):
+    # The h layer at rho = 0 halves the base w_plus * phi(w_minus).
+    # (m, t, h) = (9, 3, 9) gives g = 6, w = 3, g1 = 2, t1 = 1 and n1 = 1:
+    # case (i) with base phi(3) = 2, halved to 1; (49, 7, 49) halves
+    # phi(7) = 6 to 3
+    assert moduli._h_layer(9, 3, 9)[9:] == (1, "i", True)
+    assert moduli._h_layer(49, 7, 49)[9:] == (3, "i", True)
+    # w = 1, t1 = t: rho(5) = 1 and rho(65) = 2, base * 2^(rho - 1)
+    assert moduli._h_layer(5, 5, 5)[9:] == (1, "i", False)
+    assert moduli._h_layer(65, 65, 65)[9:] == (2, "i", False)
+    # No (m, t, h) gives an odd base at rho = 0 (module docstring), so the
+    # guard is reached with phi forced to the odd values 1 and 3
+    for phi in (1, 3):
+        monkeypatch.setattr(moduli, "euler_phi", lambda n, phi=phi: phi)
         with pytest.raises(InternalInconsistency, match="cannot be halved"):
-            moduli._count_detail(_case_i(w_plus, w_minus, 1), 3)
-    assert moduli._count_detail(_case_i(1, 3, 1), 3) == (1, "i", True)
-    assert moduli._count_detail(_case_i(1, 7, 1), 7) == (3, "i", True)
-    # rho(5) = 1 and rho(65) = 2: base * 2^(rho - 1), not halved
-    assert moduli._count_detail(_case_i(1, 1, 5), 5) == (1, "i", False)
-    assert moduli._count_detail(_case_i(1, 1, 65), 65) == (2, "i", False)
+            moduli._h_layer(9, 3, 9)
+
+
+def _prime_powers(t):
+    # (p, k) for each p^k || t, by trial division written out here, so the
+    # oracle below shares no code with `arith`
+    out, p = [], 2
+    while t > 1:
+        k = 0
+        while t % p == 0:
+            t //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
+
+
+def _count_by_prime_powers(m, d, t):
+    # The number of units b mod t with t^2 | d + b^2*m, glued by CRT from
+    # one count per p^k || t: the units b mod p^k with p^(2k) | d + b^2*m
+    # (a condition on b mod p^k, since p^k | 2m).  b and -b give the same
+    # class, and differ mod t once t > 2, so the product is then halved.
+    total = 1
+    for p, k in _prime_powers(t):
+        q = p ** k
+        total *= sum(1 for b in range(1, q)
+                     if b % p and (d + b * b * m) % (q * q) == 0)
+    if t > 2:
+        assert total % 2 == 0, (m, d, t)
+        total //= 2
+    return total
+
+
+def test_component_count_matches_prime_power_oracle():
+    # The count by value, against an oracle that calls nothing of the
+    # calculator: both families, n <= 40, every t | 2m, every d <= 200
+    # with t | 2d (the other cells are empty before any count).
+    cells = components = 0
+    for family in (K3, KUM):
+        for n in range(2, 41):
+            m = family.m(n)
+            for t in divisors(2 * m):
+                step = t // gcd(t, 2)
+                for d in range(step, 201, step):
+                    count = _count_by_prime_powers(m, d, t)
+                    q = ModuliQuery(family, n, d, t)
+                    assert component_count(q) == count, q
+                    cells += 1
+                    components = max(components, count)
+    assert cells == 43586 and components > 2
 
 
 # ------------------------------------------------------------ non-emptiness
@@ -207,6 +254,27 @@ def test_nonempty_residue_matches_full_scan_when_t_does_not_divide_2d():
                     skipped += (2 * d) % t != 0
     # the grid reaches the early exit, not only the scan
     assert skipped
+
+
+def test_residues_pair_with_their_negatives():
+    # Why the scan of `_residue` stops at t // 2 + 1: with t | 2m,
+    # (t - b)^2*m = b^2*m (mod t^2) and gcd(t - b, t) = gcd(b, t), so for
+    # t >= 2 the valid b of [1, t - 1] come in pairs {b, t - b}, and the
+    # smallest is at most t/2.
+    cells = 0
+    for family in (K3, KUM):
+        for n in range(2, 41):
+            m = family.m(n)
+            for t in divisors(2 * m)[1:]:
+                for d in range(1, 2 * t * t + 1):
+                    b = nonempty_residue(ModuliQuery(family, n, d, t))
+                    if b is None:
+                        continue
+                    assert 2 * b <= t, (family, n, d, t)
+                    assert gcd(t - b, t) == 1, (family, n, d, t)
+                    assert (d + (t - b) ** 2 * m) % (t * t) == 0
+                    cells += 1
+    assert cells > 2000
 
 
 def test_large_t_empty_report_is_fast():
@@ -557,10 +625,10 @@ def test_report_notes_mention_halving():
 
 
 def test_report_internal_inconsistency_guard(monkeypatch):
-    def broken(dec, t):
+    def broken(layer, d1):
         return 0, None, False
 
-    monkeypatch.setattr(moduli, "_count_detail", broken)
+    monkeypatch.setattr(moduli, "_d1_count", broken)
     with pytest.raises(InternalInconsistency):
         moduli.report(ModuliQuery(K3, 2, 3, 2))
     # inside a sweep: the empty cells d = 1, 2 agree with count 0, the
@@ -756,23 +824,32 @@ def test_sweep_matches_per_cell_reference_where_every_class_recurs():
 
 
 def test_sweep_scans_and_counts_once_per_class(monkeypatch):
-    residue, count_detail = moduli._residue, moduli._count_detail
-    scans, counts = [], []
+    residue, h_layer, d1_count = (moduli._residue, moduli._h_layer,
+                                  moduli._d1_count)
+    scans, layers, counts = [], [], []
 
     def counted_residue(m, d, t):
         scans.append(-d % (t * t))
         return residue(m, d, t)
 
-    def counted_count_detail(dec, t):
-        counts.append((dec.big_gcd, dec.d1 % (2 * t)))
-        return count_detail(dec, t)
+    def counted_h_layer(m, t, h):
+        layers.append(h)
+        return h_layer(m, t, h)
+
+    def counted_d1_count(layer, d1):
+        # layer[0] is gcd(2d, 2m) = 2h; t is the sweep's, below
+        counts.append((layer[0], d1 % (2 * t)))
+        return d1_count(layer, d1)
 
     monkeypatch.setattr(moduli, "_residue", counted_residue)
-    monkeypatch.setattr(moduli, "_count_detail", counted_count_detail)
-    # m = 9: gcd(2d, 2m) is 2, 6 or 18, and d1 mod 2t takes every value
+    monkeypatch.setattr(moduli, "_h_layer", counted_h_layer)
+    monkeypatch.setattr(moduli, "_d1_count", counted_d1_count)
+    # m = 9: h = gcd(d, m) is 1, 3 or 9, and d1 mod 2t takes every value
     for t, n_scans, n_counts in ((1, 1, 3 * 2), (2, 4, 3 * 4)):
         scans.clear()
+        layers.clear()
         counts.clear()
         assert len(list(reports(K3, 10, t, range(1, 1001)))) == 1000
         assert len(scans) == len(set(scans)) == n_scans
+        assert sorted(layers) == [1, 3, 9]
         assert len(counts) == len(set(counts)) == n_counts

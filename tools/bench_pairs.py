@@ -29,6 +29,19 @@ bench/run.py, a hash of src/hkmoduli) of both sides are printed and kept
 in every run, so a change of output bytes shows, and so does which source
 each side ran.  `--out` receives every run and the summary as
 JSON.
+
+    python3 tools/bench_pairs.py --trajectory [BENCH_21.json ...]
+
+reads the records this script wrote, in the order given (by default
+every BENCH_<n>.json at the root of the checkout, in the order of n), and
+prints, per workload and end-to-end metric, the product of the
+change/parent medians over all of them and over the resolved ones only
+(`gain` true).  Each record was measured in one session, so its ratio
+holds even when the machine drifted between sessions; the raw medians of
+two records do not compare.  A break is named wherever a record's parent
+sources (its runs' `source_sha256`) differ from the previous record's
+change sources, and the products start again after it.  A link where
+either record carries no source digests is not checked.
 """
 
 from __future__ import annotations
@@ -128,20 +141,110 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def sources(record: dict, side: str) -> frozenset:
+    """The source digests `side` ran over every workload and run of a
+    record; empty for a record written before runs kept them."""
+    return frozenset(run[side]["source_sha256"]
+                     for entry in record["workloads"].values()
+                     for run in entry["runs"] if "source_sha256" in run[side])
+
+
+def chains(records: list[tuple[str, dict]]) -> list[list[tuple[str, dict]]]:
+    """The named records, in order, cut into chains: a new chain starts
+    where a record's parent sources differ from the previous record's
+    change sources."""
+    out = [records[:1]]
+    for (_, before), named in zip(records, records[1:]):
+        change, parent = sources(before, "change"), sources(named[1], "parent")
+        if change and parent and change != parent:
+            out.append([])
+        out[-1].append(named)
+    return out
+
+
+def chained(records: list[dict], metrics: list[dict]) -> dict:
+    """Per workload and metric, [product, records] of the change/parent
+    medians over all records (`all`) and over those with a gain
+    (`resolved`)."""
+    out: dict = {}
+    for record in records:
+        for workload, entry in record["workloads"].items():
+            for spec in metrics:
+                s = entry["summary"][spec["name"]]
+                row = out.setdefault(workload, {}).setdefault(
+                    spec["name"], {"all": [1.0, 0], "resolved": [1.0, 0]})
+                for kind in ("all", "resolved") if s["gain"] else ("all",):
+                    row[kind][0] *= s["change"]["median"] / s["parent"][
+                        "median"]
+                    row[kind][1] += 1
+    return out
+
+
+def trajectory_lines(records: list[tuple[str, dict]],
+                     metrics: list[dict]) -> list[str]:
+    """The `--trajectory` report of the named records, one line a row."""
+    def short(digests: frozenset) -> str:
+        return ",".join(sorted(d[:8] for d in digests))
+
+    lines: list[str] = []
+    last = None
+    for chain in chains(records):
+        first_name, first = chain[0]
+        if last is not None:
+            lines.append("break before %s: parent sources %s, previous "
+                         "change sources %s" % (
+                             first_name, short(sources(first, "parent")),
+                             short(sources(last, "change"))))
+        last = chain[-1][1]
+        unchecked = sum(not (sources(a, "change") and sources(b, "parent"))
+                        for (_, a), (_, b) in zip(chain, chain[1:]))
+        lines.append("%s .. %s: %d records (%d of %d links unchecked: no "
+                     "source digests), change/parent medians chained" % (
+                         first_name, chain[-1][0], len(chain), unchecked,
+                         len(chain) - 1))
+        for workload, rows in chained([r for _, r in chain],
+                                      metrics).items():
+            for name, row in rows.items():
+                lines.append("  %-8s %-18s all x%.2f (%d)  resolved x%.2f "
+                             "(%d)" % (workload, name, *row["all"],
+                                       *row["resolved"]))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True,
+    parser.add_argument("--parent",
                         help="git revision to compare the working tree with")
-    parser.add_argument("--workload", required=True,
-                        help="comma separated workload names")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--workload", help="comma separated workload names")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--trajectory", type=Path, nargs="*",
+                        metavar="RECORD",
+                        help="chain the ratios of these records, in this "
+                        "order (default: every BENCH_<n>.json, by n) "
+                        "instead of running pairs")
     args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.trajectory is not None:
+        numbered = {int(path.stem[6:]): path
+                    for path in ROOT.glob("BENCH_*.json")
+                    if path.stem[6:].isdigit()}
+        paths = args.trajectory or [numbered[i] for i in sorted(numbered)]
+        if not paths:
+            parser.error("no BENCH_*.json records under %s" % ROOT)
+        records = [(path.stem, json.loads(path.read_text()))
+                   for path in paths]
+        print("\n".join(trajectory_lines(records, metrics)))
+        return 0
+    missing = [name for name in ("parent", "workload", "seed", "seconds",
+                                 "out") if getattr(args, name) is None]
+    if missing:
+        parser.error("the following arguments are required: %s"
+                     % ", ".join("--" + name for name in missing))
     if args.pairs < 2:
         parser.error("need at least 2 pairs, got %d" % args.pairs)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     report = {"parent": None, "change": "working tree", "seed": args.seed,
               "seconds": args.seconds, "pairs": args.pairs,
               "python": platform.python_version(),
